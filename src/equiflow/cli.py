@@ -1,9 +1,37 @@
 """Batch experiment runner: config parsing, validation, reports, CSV export.
 
 A config is a single JSON file; command-line flags override file values,
-which override the built-in defaults.  Reports are written only after an
-experiment completes, so a failed run leaves no partial files, and they
-contain no timestamps, so identical config+seed runs are byte-identical.
+which override the built-in defaults.  Reports are staged beside their
+targets and renamed into place only after every one is written, so a failed
+run leaves no partial files, and they contain no timestamps, so identical
+config+seed runs are byte-identical.
+
+Config keys, the experiments that read them, and where each default lives
+(`DEFAULTS` names the library value wherever the library has one):
+
+    experiment           all: table, classify, drift or trajectory   "table"
+    seed                 all: trial draws, synthetic data, theta0    0
+    dims                 all; drift and trajectory use the first     harness.TABLE_DIMS
+    algorithms           all                                         harness.ALGORITHMS
+    families             table, classify                             geometry.FAMILIES
+    trials               table, classify                             harness.TRIALS_PER_FAMILY
+    states_per_trial     table, classify                             harness.STATES_PER_TRIAL
+    tolerance            table, classify                             harness.EQUIVARIANCE_TOLERANCE
+    violation_threshold  table, classify                             harness.VIOLATION_THRESHOLD
+    noise_variance       all (ngd, nngd)                             FlowBuilder.noise_variance
+    r                    all (nngd, agn)                             FlowBuilder.r
+    epsilon              all (adam)                                  FlowBuilder.epsilon
+    model                all; fixes dims to its parameter count      none: harness.default_recipe
+    dataset              all, with model: path, in_dim, out_dim      none: harness.synthetic_dataset
+    diffeo               drift: family and seed                      {"family": "shear", "seed": 1}
+    h_list               drift                                       [0.1, 0.03, 0.01, 0.003, 0.001]
+    horizon              drift                                       integrate.DRIFT_HORIZON
+    scheme               drift, trajectory                           integrate.DEFAULT_SCHEME
+    h, steps             trajectory                                  0.01, 100
+    theta0               drift, trajectory                           none: drawn from seed
+    out_dir              all                                         "out"
+
+Every experiment builds its flows through one problem path, `_problem`.
 """
 
 from __future__ import annotations
@@ -22,6 +50,11 @@ from .flows import XI_MIN
 from .geometry import FAMILIES, sample_diffeomorphism, state_order1, state_order2
 from .harness import (
     ALGORITHMS,
+    EQUIVARIANCE_TOLERANCE,
+    STATES_PER_TRIAL,
+    TABLE_DIMS,
+    TRIALS_PER_FAMILY,
+    VIOLATION_THRESHOLD,
     FlowBuilder,
     classify_equivariance,
     default_recipe,
@@ -29,31 +62,39 @@ from .harness import (
     render_reports_text,
     render_table_text,
     reproduce_table,
+    synthetic_dataset,
 )
-from .integrate import SCHEMES, equivariance_drift, integrate, trajectory_csv_text
-from .models import dataset_loss, linear_model, load_dataset, mlp_tanh, Dataset
+from .integrate import (
+    DEFAULT_SCHEME,
+    DRIFT_HORIZON,
+    SCHEMES,
+    equivariance_drift,
+    integrate,
+    trajectory_csv_text,
+)
+from .models import dataset_loss, linear_model, load_dataset, mlp_tanh
 
 EXPERIMENTS = ("classify", "table", "drift", "trajectory")
 
 DEFAULTS = {
     "experiment": "table",
     "seed": 0,
-    "dims": [2, 4, 8],
+    "dims": list(TABLE_DIMS),
     "algorithms": list(ALGORITHMS),
     "families": list(FAMILIES),
-    "trials": 32,
-    "states_per_trial": 2,
-    "tolerance": 1e-7,
-    "violation_threshold": 1e-3,
-    "noise_variance": 0.5,
-    "r": 3.0,
-    "epsilon": 1e-8,
+    "trials": TRIALS_PER_FAMILY,
+    "states_per_trial": STATES_PER_TRIAL,
+    "tolerance": EQUIVARIANCE_TOLERANCE,
+    "violation_threshold": VIOLATION_THRESHOLD,
+    "noise_variance": FlowBuilder.noise_variance,
+    "r": FlowBuilder.r,
+    "epsilon": FlowBuilder.epsilon,
     "model": None,
     "dataset": None,
     "diffeo": {"family": "shear", "seed": 1},
     "h_list": [1e-1, 3e-2, 1e-2, 3e-3, 1e-3],
-    "horizon": 1.0,
-    "scheme": "euler",
+    "horizon": DRIFT_HORIZON,
+    "scheme": DEFAULT_SCHEME,
     "h": 0.01,
     "steps": 100,
     "theta0": None,
@@ -162,7 +203,7 @@ def validate(config: dict) -> list[Diagnostic]:
                     f"custom model fixes the dimension to {model.param_dim}; "
                     "dims entry is ignored"
                 )
-        except (ConfigurationError, TypeError, KeyError) as exc:
+        except (ConfigurationError, TypeError, KeyError, ValueError) as exc:
             fatal(f"invalid model recipe: {exc}")
 
     data_cfg = config.get("dataset")
@@ -171,8 +212,13 @@ def validate(config: dict) -> list[Diagnostic]:
             fatal("a dataset file requires an explicit model recipe")
         if not isinstance(data_cfg, dict) or "path" not in data_cfg:
             fatal("dataset must be an object with path, in_dim, out_dim")
-        elif not Path(data_cfg["path"]).exists():
-            fatal(f"dataset file {data_cfg['path']} does not exist")
+        else:
+            if not Path(data_cfg["path"]).exists():
+                fatal(f"dataset file {data_cfg['path']} does not exist")
+            for key in ("in_dim", "out_dim"):
+                value = data_cfg.get(key)
+                if not isinstance(value, int) or value < 1:
+                    fatal(f"dataset {key} must be a positive integer, got {value!r}")
 
     theta0 = config.get("theta0")
     if theta0 is not None and (
@@ -196,44 +242,36 @@ def _build_model(recipe: dict):
     raise ConfigurationError(f"unknown model kind {kind!r}")
 
 
-def _resolve_problem(config: dict, dim: int):
-    """Materialize (model, dataset) for one dimension from the config."""
+def _problem(config: dict):
+    """(dims, builder): the parameter dimensions the experiment runs at, and
+    the `builder(algorithm, dim) -> FlowBuilder` factory all experiments use.
+
+    (model, dataset) is resolved once per dimension: the built-in corpus, or
+    the config's model with its dataset file or with synthetic data.
+    """
+    seed = config["seed"]
     model_cfg = config.get("model")
     if model_cfg is None:
-        return default_recipe(dim, seed=config["seed"])
-    model = _build_model(model_cfg)
-    data_cfg = config.get("dataset")
-    if data_cfg is not None:
-        data = load_dataset(
-            data_cfg["path"], int(data_cfg["in_dim"]), int(data_cfg["out_dim"])
-        )
+        dims = list(config["dims"])
+        problems = {dim: default_recipe(dim, seed=seed) for dim in dims}
     else:
-        rng = np.random.default_rng([config["seed"], model.param_dim, 101])
-        size = 2 * model.param_dim
-        data = Dataset(
-            rng.uniform(-1.5, 1.5, size=(size, model.in_dim)),
-            rng.uniform(-1.0, 1.0, size=(size, model.out_dim)),
+        model = _build_model(model_cfg)
+        data_cfg = config.get("dataset")
+        if data_cfg is None:
+            data = synthetic_dataset(model, 2 * model.param_dim, seed)
+        else:
+            data = load_dataset(data_cfg["path"], data_cfg["in_dim"], data_cfg["out_dim"])
+        dims = [model.param_dim]
+        problems = {model.param_dim: (model, data)}
+    settings = {key: config[key] for key in ("noise_variance", "r", "epsilon")}
+
+    def builder(algorithm: str, dim: int) -> FlowBuilder:
+        model, data = problems[dim]
+        return FlowBuilder(
+            algorithm, dataset_loss(model, data), model=model, data=data, **settings
         )
-    return model, data
 
-
-def _effective_dims(config: dict) -> list[int]:
-    if config.get("model") is not None:
-        return [_build_model(config["model"]).param_dim]
-    return list(config["dims"])
-
-
-def _builder(config: dict, algorithm: str, dim: int) -> FlowBuilder:
-    model, data = _resolve_problem(config, dim)
-    return FlowBuilder(
-        algorithm=algorithm,
-        loss=dataset_loss(model, data),
-        model=model,
-        data=data,
-        noise_variance=config["noise_variance"],
-        r=config["r"],
-        epsilon=config["epsilon"],
-    )
+    return dims, builder
 
 
 def _initial_state(config: dict, order: int, dim: int):
@@ -253,8 +291,9 @@ def _initial_state(config: dict, order: int, dim: int):
 
 
 def _run_table(config: dict):
+    dims, builder = _problem(config)
     table = reproduce_table(
-        dims=_effective_dims(config),
+        dims=dims,
         algorithms=config["algorithms"],
         families=config["families"],
         trials_per_family=config["trials"],
@@ -262,9 +301,7 @@ def _run_table(config: dict):
         seed=config["seed"],
         tolerance=config["tolerance"],
         violation_threshold=config["violation_threshold"],
-        noise_variance=config["noise_variance"],
-        r=config["r"],
-        epsilon=config["epsilon"],
+        builder=builder,
     )
     report = {"experiment": "table", "table": table.as_dict()}
     lines = ["dim,algorithm,family,verdict,expected,max_residual,mean_residual"]
@@ -280,13 +317,13 @@ def _run_table(config: dict):
 
 
 def _run_classify(config: dict):
+    dims, builder = _problem(config)
     all_reports = []
     text_blocks = []
-    for dim in _effective_dims(config):
+    for dim in dims:
         for algorithm in config["algorithms"]:
-            builder = _builder(config, algorithm, dim)
             reports = classify_equivariance(
-                builder,
+                builder(algorithm, dim),
                 families=config["families"],
                 trials_per_family=config["trials"],
                 states_per_trial=config["states_per_trial"],
@@ -301,7 +338,8 @@ def _run_classify(config: dict):
 
 
 def _run_drift(config: dict):
-    dim = _effective_dims(config)[0]
+    dims, builder = _problem(config)
+    dim = dims[0]
     diffeo_cfg = config["diffeo"]
     g = sample_diffeomorphism(
         diffeo_cfg["family"],
@@ -312,10 +350,10 @@ def _run_drift(config: dict):
     csvs = {}
     text_lines = []
     for algorithm in config["algorithms"]:
-        builder = _builder(config, algorithm, dim)
-        start = _initial_state(config, builder.order, dim)
+        flow_builder = builder(algorithm, dim)
+        start = _initial_state(config, flow_builder.order, dim)
         drift = equivariance_drift(
-            builder,
+            flow_builder,
             g,
             start,
             h_list=config["h_list"],
@@ -345,15 +383,16 @@ def _run_drift(config: dict):
 
 
 def _run_trajectory(config: dict):
-    dim = _effective_dims(config)[0]
+    dims, builder = _problem(config)
+    dim = dims[0]
     results = []
     csvs = {}
     text_lines = []
     for algorithm in config["algorithms"]:
-        builder = _builder(config, algorithm, dim)
-        start = _initial_state(config, builder.order, dim)
+        flow_builder = builder(algorithm, dim)
+        start = _initial_state(config, flow_builder.order, dim)
         trajectory = integrate(
-            builder.build(),
+            flow_builder.build(),
             start,
             h=config["h"],
             steps=config["steps"],
@@ -394,7 +433,8 @@ def run(config: dict) -> int:
     """Validate, execute, and write report.json / report.txt / CSVs.
 
     Returns the process exit status.  Nothing is written when validation
-    fails or the experiment raises, so there are no partial output files.
+    fails or the experiment raises, and no output file changes unless every
+    one was written, so there are no partial output files.
     """
     diagnostics = validate(config)
     for diag in diagnostics:
@@ -406,15 +446,35 @@ def run(config: dict) -> int:
     report = {"config": _json_safe(config), **report}
 
     out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (out_dir / "report.txt").write_text(text + "\n", encoding="utf-8")
-    for name, payload in csvs.items():
-        (out_dir / name).write_text(payload, encoding="utf-8")
+    payloads = {
+        "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+        "report.txt": text + "\n",
+        **csvs,
+    }
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_all(out_dir, payloads)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write reports to {out_dir}: {exc}") from exc
     print(f"wrote {out_dir / 'report.json'}")
     return status
+
+
+def _write_all(out_dir: Path, payloads: dict) -> None:
+    """Write each payload to a staging file in `out_dir`, then rename every
+    staging file over its target; on a failed write, remove the staged files."""
+    staged = []
+    try:
+        for name, payload in payloads.items():
+            staging = out_dir / f".{name}.staging"
+            staged.append((staging, out_dir / name))
+            staging.write_text(payload, encoding="utf-8")
+    except BaseException:
+        for staging, _ in staged:
+            staging.unlink(missing_ok=True)
+        raise
+    for staging, target in staged:
+        staging.replace(target)
 
 
 def _json_safe(value):

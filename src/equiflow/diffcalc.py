@@ -111,9 +111,14 @@ class Dual2:
             return self._chain(1.0, 0.0, 0.0)
         if power == 1:
             return self
-        v = self.v**power
-        d1 = power * self.v ** (power - 1)
-        d2 = power * (power - 1) * self.v ** (power - 2) if self.h is not None else 0.0
+        if self.v < 0.0 and not float(power).is_integer():
+            raise EvaluationDomainError(f"non-integer power {power} of negative value {self.v}")
+        try:
+            v = self.v**power
+            d1 = power * self.v ** (power - 1)
+            d2 = power * (power - 1) * self.v ** (power - 2) if self.h is not None else 0.0
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise EvaluationDomainError(f"power {power} of {self.v}: {exc}") from exc
         return self._chain(v, d1, d2)
 
     # -- smooth unary functions (numpy ufuncs dispatch to these) -----------
@@ -132,7 +137,10 @@ class Dual2:
         return self._chain(t, sech2, -2.0 * t * sech2)
 
     def exp(self):
-        e = math.exp(self.v)
+        try:
+            e = math.exp(self.v)
+        except OverflowError as exc:
+            raise EvaluationDomainError(f"exp of {self.v} overflows") from exc
         return self._chain(e, e, e)
 
     def log(self):
@@ -142,8 +150,9 @@ class Dual2:
         return self._chain(math.log(self.v), inv, -inv * inv)
 
     def sqrt(self):
-        if self.v < 0.0:
-            raise EvaluationDomainError(f"sqrt of negative value {self.v}")
+        # The derivative 1/(2 sqrt v) is unbounded at 0.
+        if self.v <= 0.0:
+            raise EvaluationDomainError(f"sqrt of non-positive value {self.v}")
         r = math.sqrt(self.v)
         return self._chain(r, 0.5 / r, -0.25 / (r * self.v))
 

@@ -24,6 +24,9 @@ XI_MIN = 1e-3
 # Damping constant of the accelerated-gradient limit.
 NESTEROV_DAMPING = 3.0
 
+# Denominator floor of the componentwise Adam step.
+ADAM_EPSILON = 1e-8
+
 # Relative singular-value cutoff of the pseudo-inverse fallback.
 PINV_CUTOFF = 1e-10
 
@@ -69,7 +72,7 @@ def nesterov_flow(loss: ScalarField, xi_min: float = XI_MIN) -> FlowField:
     return FlowField("nesterov", order=2, autonomous=False, velocity=velocity)
 
 
-def adam_stationary_flow(loss: ScalarField, epsilon: float = 1e-8) -> FlowField:
+def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> FlowField:
     """Stationary-moment full-batch limit: componentwise -g / (|g| + eps)."""
     if epsilon <= 0.0:
         raise ConfigurationError(f"adam epsilon must be positive, got {epsilon}")
@@ -81,15 +84,29 @@ def adam_stationary_flow(loss: ScalarField, epsilon: float = 1e-8) -> FlowField:
     return FlowField("adam", order=1, autonomous=True, velocity=velocity)
 
 
+def newton_matrix(
+    loss: ScalarField, theta, connection: Optional[Connection] = None, grad=None
+) -> np.ndarray:
+    """The matrix Newton's flow inverts: the Hessian of `loss` at `theta`,
+    made covariant, H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given.
+
+    `grad` is the gradient at `theta` when the caller already has it.
+    """
+    hess = diffcalc.hessian(loss, theta)
+    if connection is not None:
+        if grad is None:
+            grad = diffcalc.gradient(loss, theta)
+        gamma = connection.christoffel_at(theta)
+        hess = hess - np.einsum("kij,k->ij", gamma, grad)
+    return hess
+
+
 def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> FlowField:
     """dtheta/dxi = -H^-1 grad L with H the (optionally covariant) Hessian."""
 
     def velocity(state):
         grad = diffcalc.gradient(loss, state.theta)
-        hess = diffcalc.hessian(loss, state.theta)
-        if connection is not None:
-            gamma = connection.christoffel_at(state.theta)
-            hess = hess - np.einsum("kij,k->ij", gamma, grad)
+        hess = newton_matrix(loss, state.theta, connection, grad)
         if np.linalg.cond(hess) > HESSIAN_MAX_CONDITION:
             raise SingularMatrixError(
                 "Hessian too ill-conditioned for Newton flow", point=state.theta
@@ -129,7 +146,7 @@ def fisher_matrix(head: GaussianHead, data: Dataset, theta) -> Preconditioner:
     return ggn_matrix(head.model, data, weight, theta)
 
 
-def _apply_inverse(matrix, vec, metadata, theta):
+def _apply_inverse(matrix, vec, metadata):
     # SVD pseudo-inverse; drops directions below PINV_CUTOFF * sigma_max
     u, s, vt = np.linalg.svd(matrix)
     s_max = s[0] if s.size else 0.0
@@ -151,7 +168,7 @@ def preconditioned_flow(loss: ScalarField, precond: Callable) -> FlowField:
         if form.variance == "contravariant":
             step = form.matrix @ grad
         else:
-            step = _apply_inverse(form.matrix, grad, metadata, state.theta)
+            step = _apply_inverse(form.matrix, grad, metadata)
         return StateVelocity((-step,))
 
     return FlowField(
@@ -184,7 +201,7 @@ def accelerated_flow(
         if form.variance == "contravariant":
             step = form.matrix @ grad
         else:
-            step = _apply_inverse(form.matrix, grad, metadata, state.theta)
+            step = _apply_inverse(form.matrix, grad, metadata)
         accel = -damping * state.velocity - step
         if connection is not None:
             gamma = connection.christoffel_at(state.theta)

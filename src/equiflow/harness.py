@@ -9,21 +9,23 @@ reparameterization family and demands a crisp verdict.
 
 All randomness flows from one integer seed: every trial uses a PCG64
 generator seeded with SeedSequence([seed, dim, algorithm_index,
-family_index, trial_index]), and the built-in corpus with
-SeedSequence([seed, dim, 101]).
+family_index, trial_index]), and synthetic datasets, the built-in corpus
+included, with SeedSequence([seed, param_dim, 101]).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import diffcalc
 from .diffcalc import ScalarField
 from .errors import ConfigurationError, SingularMatrixError, ToleranceGapError
 from .flows import (
+    ADAM_EPSILON,
+    NESTEROV_DAMPING,
     FlowField,
     accelerated_flow,
     adam_stationary_flow,
@@ -32,6 +34,7 @@ from .flows import (
     gradient_flow,
     nesterov_flow,
     newton_flow,
+    newton_matrix,
     preconditioned_flow,
 )
 from .geometry import (
@@ -69,6 +72,11 @@ _CONNECTION_AWARE = frozenset({"newton-covariant", "nngd", "agn"})
 # equivariant, >= threshold is violated, anything between fails loudly.
 EQUIVARIANCE_TOLERANCE = 1e-7
 VIOLATION_THRESHOLD = 1e-3
+
+# Sampling effort per (algorithm, family) cell, and the table's dimensions.
+TRIALS_PER_FAMILY = 32
+STATES_PER_TRIAL = 2
+TABLE_DIMS = (2, 4, 8)
 
 # States are drawn uniformly from this box, rejecting ill-conditioned points.
 STATE_BOX = 1.5
@@ -119,8 +127,8 @@ class FlowBuilder:
     data: Optional[Dataset] = None
     noise_variance: float = 0.5
     ggn_weight: Optional[np.ndarray] = None
-    r: float = 3.0
-    epsilon: float = 1e-8
+    r: float = NESTEROV_DAMPING
+    epsilon: float = ADAM_EPSILON
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -190,17 +198,7 @@ class FlowBuilder:
         if alg in ("newton", "newton-covariant"):
             loss = self.loss if reparam is None else pullback_loss(reparam, self.loss)
             connection = self._connection(reparam) if alg == "newton-covariant" else None
-
-            def hess_fn(theta):
-                hess = diffcalc.hessian(loss, theta)
-                if connection is not None:
-                    grad = diffcalc.gradient(loss, theta)
-                    hess = hess - np.einsum(
-                        "kij,k->ij", connection.christoffel_at(theta), grad
-                    )
-                return hess
-
-            return hess_fn
+            return lambda theta: newton_matrix(loss, theta, connection)
         if alg in _NEEDS_MODEL:
             precond = self._precondition_fn(reparam)
             return lambda theta: precond(theta).matrix
@@ -308,8 +306,8 @@ def trial_rng(seed: int, dim: int, algorithm: str, family: str, trial: int):
 def classify_equivariance(
     builder: FlowBuilder,
     families: Sequence[str] = FAMILIES,
-    trials_per_family: int = 8,
-    states_per_trial: int = 2,
+    trials_per_family: int = TRIALS_PER_FAMILY,
+    states_per_trial: int = STATES_PER_TRIAL,
     tolerance: float = EQUIVARIANCE_TOLERANCE,
     violation_threshold: float = VIOLATION_THRESHOLD,
     seed: int = 0,
@@ -400,31 +398,24 @@ def default_recipe(dim: int, seed: int = 0, kind: str = "linear") -> tuple[Model
         size = 6
     else:
         raise ConfigurationError(f"unknown recipe kind {kind!r}")
-    rng = np.random.default_rng([seed, dim, 101])
+    return model, synthetic_dataset(model, size, seed)
+
+
+def synthetic_dataset(model: Model, size: int, seed: int) -> Dataset:
+    """`size` samples for `model`: inputs uniform in [-1.5, 1.5], targets in
+    [-1, 1], drawn from SeedSequence([seed, param_dim, 101])."""
+    rng = np.random.default_rng([seed, model.param_dim, 101])
     inputs = rng.uniform(-1.5, 1.5, size=(size, model.in_dim))
     targets = rng.uniform(-1.0, 1.0, size=(size, model.out_dim))
-    return model, Dataset(inputs, targets)
+    return Dataset(inputs, targets)
 
 
 def default_flow_builder(
-    algorithm: str,
-    dim: int,
-    seed: int = 0,
-    noise_variance: float = 0.5,
-    r: float = 3.0,
-    epsilon: float = 1e-8,
-    kind: str = "linear",
+    algorithm: str, dim: int, seed: int = 0, kind: str = "linear"
 ) -> FlowBuilder:
+    """A FlowBuilder on the built-in corpus, with FlowBuilder's default settings."""
     model, data = default_recipe(dim, seed, kind=kind)
-    return FlowBuilder(
-        algorithm=algorithm,
-        loss=dataset_loss(model, data),
-        model=model,
-        data=data,
-        noise_variance=noise_variance,
-        r=r,
-        epsilon=epsilon,
-    )
+    return FlowBuilder(algorithm, dataset_loss(model, data), model=model, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -490,33 +481,29 @@ class TableReport:
 
 
 def reproduce_table(
-    dims: Sequence[int] = (2, 4, 8),
+    dims: Sequence[int] = TABLE_DIMS,
     algorithms: Sequence[str] = ALGORITHMS,
     families: Sequence[str] = FAMILIES,
-    trials_per_family: int = 32,
-    states_per_trial: int = 2,
+    trials_per_family: int = TRIALS_PER_FAMILY,
+    states_per_trial: int = STATES_PER_TRIAL,
     seed: int = 0,
     tolerance: float = EQUIVARIANCE_TOLERANCE,
     violation_threshold: float = VIOLATION_THRESHOLD,
-    noise_variance: float = 0.5,
-    r: float = 3.0,
-    epsilon: float = 1e-8,
+    builder: Optional[Callable[[str, int], FlowBuilder]] = None,
 ) -> TableReport:
-    """Run the full classification matrix and compare against expectations."""
+    """Run the full classification matrix and compare against expectations.
+
+    `builder(algorithm, dim)` gives each cell row's FlowBuilder; by default
+    `default_flow_builder` on the built-in linear corpus drawn from `seed`.
+    """
+    if builder is None:
+        builder = partial(default_flow_builder, seed=seed)
     reports = []
     mismatches = []
     for dim in dims:
         for algorithm in algorithms:
-            builder = default_flow_builder(
-                algorithm,
-                dim,
-                seed=seed,
-                noise_variance=noise_variance,
-                r=r,
-                epsilon=epsilon,
-            )
             for report in classify_equivariance(
-                builder,
+                builder(algorithm, dim),
                 families=families,
                 trials_per_family=trials_per_family,
                 states_per_trial=states_per_trial,
@@ -578,7 +565,6 @@ def render_reports_text(reports: Sequence[ResidualReport]) -> str:
 
 def render_table_text(table: TableReport) -> str:
     """Human-readable verdict matrix, one block per dimension."""
-    short = {"equivariant": "equivariant", "violated": "violated"}
     blocks = []
     for dim in table.dims:
         verdicts = table.verdicts(dim)
@@ -587,7 +573,7 @@ def render_table_text(table: TableReport) -> str:
         for alg in table.algorithms:
             rows.append(
                 [alg]
-                + [short[verdicts[alg][f]] for f in table.families]
+                + [verdicts[alg][f] for f in table.families]
                 + [EQUIVARIANCE_GROUPS[alg]]
             )
         widths = [max(len(r[i]) for r in rows) for i in range(len(header))]

@@ -7,11 +7,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, EvaluationDomainError
 from .flows import FlowField
 from .geometry import Diffeomorphism, OptimizerState, pushforward_state
 
 SCHEMES = ("euler", "rk4")
+DEFAULT_SCHEME = "euler"
+
+# Flow time over which the drift study compares the two charts.
+DRIFT_HORIZON = 1.0
 
 
 @dataclass(frozen=True)
@@ -21,10 +25,6 @@ class Trajectory:
     scheme: str
     step: float
     states: tuple
-
-    @property
-    def steps(self) -> list:
-        return [(s.time, s) for s in self.states]
 
     @property
     def final(self) -> OptimizerState:
@@ -45,13 +45,14 @@ def integrate(
     start: OptimizerState,
     h: float,
     steps: int,
-    scheme: str = "euler",
+    scheme: str = DEFAULT_SCHEME,
 ) -> Trajectory:
     """Integrate `flow` for `steps` fixed steps of size `h`.
 
     Nonautonomous flows advance xi together with the state.  Raises
     `DivergenceError` with the offending step index if the state leaves the
-    finite domain.
+    finite domain, including a flow evaluation that overflows or leaves its
+    function's domain inside a step.
     """
     if h <= 0.0:
         raise ConfigurationError(f"step size must be positive, got {h}")
@@ -78,7 +79,7 @@ def integrate(
                 k3 = rhs(time + 0.5 * h, vec + 0.5 * h * k2)
                 k4 = rhs(time + h, vec + h * k3)
                 vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except (FloatingPointError, OverflowError) as exc:
+        except (FloatingPointError, OverflowError, EvaluationDomainError) as exc:
             raise DivergenceError(f"flow evaluation diverged: {exc}", step_index=k) from exc
         time = time + h
         if not np.all(np.isfinite(vec)):
@@ -123,8 +124,8 @@ def equivariance_drift(
     g: Diffeomorphism,
     start: OptimizerState,
     h_list: Sequence[float],
-    horizon: float = 1.0,
-    scheme: str = "euler",
+    horizon: float = DRIFT_HORIZON,
+    scheme: str = DEFAULT_SCHEME,
 ) -> DriftResult:
     """How discretization breaks naturality as the step size shrinks.
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import equiflow.cli as cli
 
@@ -44,6 +45,21 @@ class TestValidate:
         path = write_config(tmp_path, out_dir="fresh_out")
         assert cli.main(["validate", str(path)]) == 0
         assert not (tmp_path / "fresh_out").exists()
+
+    def test_dataset_dims_mandatory(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\n")
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            model={"kind": "linear", "in_dim": 1},
+            dataset={"path": str(data), "out_dim": 1},
+            out_dir=str(out),
+        )
+        diags = cli.validate(cli.load_config(path))
+        assert any(d.severity == "fatal" and "in_dim" in d.message for d in diags)
+        assert cli.main(["run", str(path)]) == 2
+        assert not out.exists()
 
     def test_seed_mandatory(self, tmp_path):
         path = write_config(tmp_path, seed="zero")
@@ -203,6 +219,55 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["reports"][0]["dim"] == 4
         assert report["reports"][0]["verdict"] == "equivariant"
+
+    def test_failed_write_leaves_previous_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            experiment="drift",
+            algorithms=["gd", "ngd"],
+            dims=[2],
+            h_list=[0.1, 0.03],
+            out_dir=str(out),
+        )
+        assert cli.main(["run", str(path)]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(before) == 4  # report.json, report.txt, two CSVs
+
+        real_write = Path.write_text
+        writes = []
+
+        def write_then_fail(self, *args, **kwargs):
+            writes.append(self.name)
+            if len(writes) == 3:
+                raise OSError("disk full")
+            return real_write(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_then_fail)
+        assert cli.main(["run", str(path), "--seed", "7"]) == 2
+        assert len(writes) == 3
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_table_classifies_custom_model(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\n-0.25,0.5\n1.0,0.0\n2.0,-0.5\n")
+        path = write_config(
+            tmp_path,
+            algorithms=["gd", "ggn"],
+            families=["translation", "shear"],
+            trials=2,
+            states_per_trial=1,
+            model={"kind": "mlp-tanh", "in_dim": 1, "hidden": 1, "out_dim": 1},
+            dataset={"path": str(data), "in_dim": 1, "out_dim": 1},
+        )
+        reports = {}
+        for experiment in ("table", "classify"):
+            out = tmp_path / experiment
+            assert cli.main(["run", str(path), "--experiment", experiment, "--out", str(out)]) == 0
+            reports[experiment] = json.loads((out / "report.json").read_text())
+        cells = reports["table"]["table"]["reports"]
+        assert [cell["dim"] for cell in cells] == [4] * 4
+        assert cells == reports["classify"]["reports"]
 
     def test_experiment_flag_overrides(self, tmp_path):
         out = tmp_path / "out"

@@ -64,6 +64,13 @@ class TestIntegrate:
             integrate(gradient_flow(loss), state_order1([5.0]), 1.0, 50)
         assert info.value.step_index is not None
 
+    def test_exp_blow_up_reports_its_step(self):
+        # dtheta/dxi = exp(theta): 5 -> 153.4 -> 5e66, whose exp overflows in step 2
+        loss = ScalarField(1, lambda t: -np.exp(t[0]))
+        with pytest.raises(DivergenceError) as info:
+            integrate(gradient_flow(loss), state_order1([5.0]), 1.0, 10)
+        assert info.value.step_index == 2
+
     def test_parameter_validation(self):
         flow = gradient_flow(quadratic_loss(np.eye(1)))
         with pytest.raises(ConfigurationError):

@@ -1,0 +1,103 @@
+"""The geometric laws as properties, over every family at N in {2, 3, 4}.
+
+`pushforward_state` and `pushforward_tangent` respect `compose` and `invert`,
+and `transform_bilinear` respects composition.  Each test runs once per
+(family, N) for the inner map; the outer map's family is drawn.  Maps come
+from the catalog sampler under a drawn seed; states, tangents and forms from
+the state box.  Examples are derandomized, so every run checks the same cases.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equiflow import (
+    FAMILIES,
+    OptimizerState,
+    Preconditioner,
+    StateVelocity,
+    compose,
+    invert,
+    pushforward_state,
+    pushforward_tangent,
+    sample_diffeomorphism,
+    transform_bilinear,
+)
+
+LAWS = settings(derandomize=True, deadline=None, max_examples=8)
+EVERY_FAMILY = pytest.mark.parametrize("family", FAMILIES)
+EVERY_DIM = pytest.mark.parametrize("dim", (2, 3, 4))
+TOL = 1e-9
+
+
+def vectors(dim):
+    return st.lists(
+        st.floats(-1.5, 1.5, allow_nan=False), min_size=dim, max_size=dim
+    ).map(np.array)
+
+
+def sampled(family, dim, seed):
+    return sample_diffeomorphism(family, dim, np.random.default_rng(seed))
+
+
+@st.composite
+def cases(draw, family, dim):
+    """(outer, inner, state, tangent at the state); `inner` is from `family`."""
+    seeds = st.integers(0, 2**32 - 1)
+    outer = sampled(draw(st.sampled_from(FAMILIES)), dim, draw(seeds))
+    inner = sampled(family, dim, draw(seeds))
+    order = draw(st.sampled_from((1, 2)))
+    state = OptimizerState(
+        draw(st.floats(0.0, 2.0)), tuple(draw(vectors(dim)) for _ in range(order))
+    )
+    tangent = StateVelocity(tuple(draw(vectors(dim)) for _ in range(order)))
+    return outer, inner, state, tangent
+
+
+def close(got, want):
+    return np.max(np.abs(got - want)) <= TOL * max(1.0, np.max(np.abs(want)))
+
+
+@EVERY_FAMILY
+@EVERY_DIM
+@LAWS
+@given(data=st.data())
+def test_pushforward_state_respects_compose_and_invert(family, dim, data):
+    outer, inner, state, _ = data.draw(cases(family, dim))
+    direct = pushforward_state(compose(outer, inner), state)
+    chained = pushforward_state(outer, pushforward_state(inner, state))
+    assert close(direct.as_vector(), chained.as_vector())
+    back = pushforward_state(invert(inner), pushforward_state(inner, state))
+    assert close(back.as_vector(), state.as_vector())
+
+
+@EVERY_FAMILY
+@EVERY_DIM
+@LAWS
+@given(data=st.data())
+def test_pushforward_tangent_respects_compose_and_invert(family, dim, data):
+    outer, inner, state, tangent = data.draw(cases(family, dim))
+    direct = pushforward_tangent(compose(outer, inner), state, tangent)
+    inner_state = pushforward_state(inner, state)
+    inner_tangent = pushforward_tangent(inner, state, tangent)
+    chained = pushforward_tangent(outer, inner_state, inner_tangent)
+    assert close(direct.as_vector(), chained.as_vector())
+    back = pushforward_tangent(invert(inner), inner_state, inner_tangent)
+    assert close(back.as_vector(), tangent.as_vector())
+
+
+@EVERY_FAMILY
+@EVERY_DIM
+@LAWS
+@given(variance=st.sampled_from(("covariant", "contravariant")), data=st.data())
+def test_transform_bilinear_respects_compose(family, dim, variance, data):
+    outer, inner, state, _ = data.draw(cases(family, dim))
+    root = data.draw(st.lists(vectors(dim), min_size=dim, max_size=dim).map(np.array))
+    form = Preconditioner(root @ root.T, variance=variance)
+    theta_bar = inner.forward(state.theta)
+    theta_barbar = outer.forward(theta_bar)
+    direct = transform_bilinear(compose(outer, inner), form, theta_barbar)
+    chained = transform_bilinear(outer, transform_bilinear(inner, form, theta_bar), theta_barbar)
+    assert direct.variance == chained.variance == variance
+    assert close(direct.matrix, chained.matrix)
