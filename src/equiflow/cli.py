@@ -203,7 +203,7 @@ def validate(config: dict) -> list[Diagnostic]:
                     f"custom model fixes the dimension to {model.param_dim}; "
                     "dims entry is ignored"
                 )
-        except (ConfigurationError, TypeError, KeyError, ValueError) as exc:
+        except ConfigurationError as exc:
             fatal(f"invalid model recipe: {exc}")
 
     data_cfg = config.get("dataset")
@@ -213,12 +213,17 @@ def validate(config: dict) -> list[Diagnostic]:
         if not isinstance(data_cfg, dict) or "path" not in data_cfg:
             fatal("dataset must be an object with path, in_dim, out_dim")
         else:
+            dims = [data_cfg.get(key) for key in ("in_dim", "out_dim")]
+            for key, value in zip(("in_dim", "out_dim"), dims):
+                if not _is_count(value):
+                    fatal(f"dataset {key} must be a positive integer, got {value!r}")
             if not Path(data_cfg["path"]).exists():
                 fatal(f"dataset file {data_cfg['path']} does not exist")
-            for key in ("in_dim", "out_dim"):
-                value = data_cfg.get(key)
-                if not isinstance(value, int) or value < 1:
-                    fatal(f"dataset {key} must be a positive integer, got {value!r}")
+            elif all(map(_is_count, dims)):
+                try:
+                    load_dataset(data_cfg["path"], *dims)
+                except ConfigurationError as exc:
+                    fatal(str(exc))
 
     theta0 = config.get("theta0")
     if theta0 is not None and (
@@ -228,17 +233,29 @@ def validate(config: dict) -> list[Diagnostic]:
     return out
 
 
+def _is_count(value) -> bool:
+    """A positive JSON integer; true and false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _build_model(recipe: dict):
+    if not isinstance(recipe, dict):
+        raise ConfigurationError("model must be an object")
+
+    def size(key, default=None):
+        value = recipe.get(key, default)
+        if not _is_count(value):
+            raise ConfigurationError(f"model {key} must be a positive integer, got {value!r}")
+        return value
+
     kind = recipe.get("kind")
     if kind == "linear":
-        return linear_model(int(recipe["in_dim"]), int(recipe.get("out_dim", 1)))
+        return linear_model(size("in_dim"), size("out_dim", 1))
     if kind == "mlp-tanh":
-        return mlp_tanh(
-            int(recipe["in_dim"]),
-            int(recipe["hidden"]),
-            int(recipe.get("out_dim", 1)),
-            bias=bool(recipe.get("bias", True)),
-        )
+        bias = recipe.get("bias", True)
+        if not isinstance(bias, bool):
+            raise ConfigurationError(f"model bias must be true or false, got {bias!r}")
+        return mlp_tanh(size("in_dim"), size("hidden"), size("out_dim", 1), bias=bias)
     raise ConfigurationError(f"unknown model kind {kind!r}")
 
 

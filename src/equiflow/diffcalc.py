@@ -233,7 +233,9 @@ class VectorMap:
         return self.value(theta)
 
 
-def _seed(theta, order: int) -> np.ndarray:
+def seed_duals(theta, order: int) -> np.ndarray:
+    """Object array of `Dual2` seeds at `theta`: entry i carries the unit
+    gradient e_i, and a zero Hessian when `order` is 2."""
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
     seeds = np.empty(n, dtype=object)
@@ -257,7 +259,7 @@ def _dual_parts(out, n: int, order: int):
 
 def gradient(f: ScalarField, theta) -> np.ndarray:
     """First derivatives of `f` at `theta`, exact to roundoff."""
-    out = f.fn(_seed(theta, order=1))
+    out = f.fn(seed_duals(theta, order=1))
     v, g, _ = _dual_parts(out, f.dim, order=1)
     if not (math.isfinite(v) and np.all(np.isfinite(g))):
         raise EvaluationDomainError(f"gradient of {f.name or 'field'} non-finite at {theta}")
@@ -266,7 +268,7 @@ def gradient(f: ScalarField, theta) -> np.ndarray:
 
 def hessian(f: ScalarField, theta) -> np.ndarray:
     """Second-derivative matrix of `f` at `theta`, exactly symmetrized."""
-    out = f.fn(_seed(theta, order=2))
+    out = f.fn(seed_duals(theta, order=2))
     v, _, h = _dual_parts(out, f.dim, order=2)
     if not (math.isfinite(v) and np.all(np.isfinite(h))):
         raise EvaluationDomainError(f"hessian of {f.name or 'field'} non-finite at {theta}")
@@ -276,14 +278,20 @@ def hessian(f: ScalarField, theta) -> np.ndarray:
 
 def jacobian(m: VectorMap, theta) -> np.ndarray:
     """(out_dim, in_dim) matrix of first partials of `m` at `theta`."""
-    out = np.asarray(m.fn(_seed(theta, order=1)), dtype=object).reshape(m.out_dim)
+    out = m.fn(seed_duals(theta, order=1))
+    return jacobian_rows(out, m.in_dim, m.out_dim, m.name or "map", theta)
+
+
+def jacobian_rows(out, in_dim: int, out_dim: int, name: str, theta) -> np.ndarray:
+    """(out_dim, in_dim) Jacobian read off `out`, a map's output on the
+    first-order seeds of `theta`; constant components give zero rows."""
     rows = []
-    for comp in out:
-        _, g, _ = _dual_parts(comp, m.in_dim, order=1)
+    for comp in np.asarray(out, dtype=object).reshape(out_dim):
+        _, g, _ = _dual_parts(comp, in_dim, order=1)
         rows.append(np.array(g, dtype=float))
     jac = np.stack(rows)
     if not np.all(np.isfinite(jac)):
-        raise EvaluationDomainError(f"jacobian of {m.name or 'map'} non-finite at {theta}")
+        raise EvaluationDomainError(f"jacobian of {name} non-finite at {theta}")
     return jac
 
 
@@ -292,7 +300,7 @@ def second_derivatives(m: VectorMap, theta) -> np.ndarray:
 
     Each D[l] is exactly symmetric.
     """
-    out = np.asarray(m.fn(_seed(theta, order=2)), dtype=object).reshape(m.out_dim)
+    out = np.asarray(m.fn(seed_duals(theta, order=2)), dtype=object).reshape(m.out_dim)
     blocks = []
     for comp in out:
         _, _, h = _dual_parts(comp, m.in_dim, order=2)

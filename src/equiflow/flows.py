@@ -13,10 +13,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diffcalc
-from .diffcalc import ScalarField
+from .diffcalc import ScalarField, VectorMap
 from .errors import ConfigurationError, SingularMatrixError
 from .geometry import Connection, OptimizerState, Preconditioner, StateVelocity
-from .models import Dataset, GaussianHead, Model
+from .models import Dataset, GaussianHead, Model, network_jacobian
 
 # 1/xi terms are evaluated at max(xi, XI_MIN); trajectories start there too.
 XI_MIN = 1e-3
@@ -117,8 +117,11 @@ def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> F
     return FlowField(tag, order=1, autonomous=True, velocity=velocity)
 
 
-def ggn_matrix(model: Model, data: Dataset, weight, theta) -> Preconditioner:
-    """Generalized Gauss-Newton form (1/|S|) sum J^T M J, summed in index order."""
+def ggn_matrix(
+    model: Model, data: Dataset, weight, theta, chart: Optional[VectorMap] = None
+) -> Preconditioner:
+    """Generalized Gauss-Newton form (1/|S|) sum J^T M J over `network_jacobian`
+    in index order; with a `chart` theta_bar -> theta, the barred chart's form."""
     weight = np.asarray(weight, dtype=float)
     p = model.out_dim
     if weight.shape != (p, p):
@@ -132,18 +135,19 @@ def ggn_matrix(model: Model, data: Dataset, weight, theta) -> Preconditioner:
 
     theta = np.asarray(theta, dtype=float)
     total = np.zeros((model.param_dim, model.param_dim))
-    for k in range(data.size):
-        jac = diffcalc.jacobian(model.output_map(data.inputs[k]), theta)
+    for jac in network_jacobian(model, data, theta, chart):
         total = total + jac.T @ (weight @ jac)
     out = total / data.size
     return Preconditioner(0.5 * (out + out.T), variance="covariant")
 
 
-def fisher_matrix(head: GaussianHead, data: Dataset, theta) -> Preconditioner:
+def fisher_matrix(
+    head: GaussianHead, data: Dataset, theta, chart: Optional[VectorMap] = None
+) -> Preconditioner:
     """Fisher information of the Gaussian head, realized as GGN with the
-    inverse noise variance on the diagonal."""
+    inverse noise variance on the diagonal; `chart` as in `ggn_matrix`."""
     weight = np.eye(head.model.out_dim) / head.noise_variance
-    return ggn_matrix(head.model, data, weight, theta)
+    return ggn_matrix(head.model, data, weight, theta, chart)
 
 
 def _apply_inverse(matrix, vec, metadata):

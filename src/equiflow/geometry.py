@@ -4,7 +4,8 @@ The diffeomorphism catalog covers the five families the laboratory classifies
 against: translations, Euclidean motions, signed permutations with shifts,
 general affine maps, and triangular shears.  Shears are the only nonlinear
 family; their triangular structure gives an exact forward-substitution
-inverse and a unit-determinant Jacobian.
+inverse and a unit-determinant Jacobian.  Models are not pulled back here:
+`flows.ggn_matrix` takes a diffeomorphism's `inverse_map` as its chart.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from . import diffcalc
 from .diffcalc import ScalarField, VectorMap
 from .errors import ConfigurationError, EvaluationDomainError, SingularMatrixError
-from .models import Model
 
 FAMILIES = ("translation", "euclidean", "signed-permutation", "affine", "shear")
 
@@ -393,19 +393,6 @@ def pullback_loss(g: Diffeomorphism, loss: ScalarField) -> ScalarField:
         loss.dim,
         lambda tbar: loss.fn(g.inverse_map.fn(tbar)),
         name=f"{loss.name or 'loss'}|{g.label or g.family}",
-    )
-
-
-def pullback_model(g: Diffeomorphism, model: Model) -> Model:
-    """The model re-expressed in the barred chart; inputs are chart-independent."""
-    if g.dim != model.param_dim:
-        raise ConfigurationError("diffeomorphism and model parameter dimensions differ")
-    return Model(
-        kind=model.kind,
-        in_dim=model.in_dim,
-        out_dim=model.out_dim,
-        param_dim=model.param_dim,
-        forward=lambda x, tbar: model.forward(x, g.inverse_map.fn(tbar)),
     )
 
 

@@ -2,7 +2,8 @@
 
 A `FlowBuilder` knows how to construct one algorithm's flow either in the
 base chart or, given a reparameterization, intrinsically in the barred chart
-(pulled-back loss and model, transform-consistent connection).  The
+(pulled-back loss, GGN or Fisher read through the inverse map, and the
+transform-consistent connection).  The
 naturality residual compares the pushed-forward flow value against the
 intrinsic barred flow value; classification runs seeded trials per
 reparameterization family and demands a crisp verdict.
@@ -43,7 +44,6 @@ from .geometry import (
     OptimizerState,
     pullback_connection,
     pullback_loss,
-    pullback_model,
     pushforward_state,
     pushforward_tangent,
     sample_diffeomorphism,
@@ -154,12 +154,13 @@ class FlowBuilder:
         return np.eye(self.model.out_dim)
 
     def _precondition_fn(self, reparam: Optional[Diffeomorphism]):
-        model = self.model if reparam is None else pullback_model(reparam, self.model)
+        # In the barred chart the model reads its parameters through g^-1.
+        chart = None if reparam is None else reparam.inverse_map
         if self.algorithm in ("ngd", "nngd"):
-            head = GaussianHead(model, self.noise_variance)
-            return lambda theta: fisher_matrix(head, self.data, theta)
+            head = GaussianHead(self.model, self.noise_variance)
+            return lambda theta: fisher_matrix(head, self.data, theta, chart)
         weight = self._weight()
-        return lambda theta: ggn_matrix(model, self.data, weight, theta)
+        return lambda theta: ggn_matrix(self.model, self.data, weight, theta, chart)
 
     def _connection(self, reparam: Optional[Diffeomorphism]):
         # The flat base-chart connection is implicit (Gamma = 0); only the

@@ -2,13 +2,14 @@
 
 Models are small enough that the whole parameter vector fits in `DIM_CAP`;
 their forward maps are written with numpy operations only, so they evaluate
-identically on float arrays and on dual-number seeds.
+identically on float arrays and on dual-number seeds.  `network_jacobian` gives
+every per-sample output Jacobian, in the base chart or through a `chart` map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,6 +36,13 @@ class Dataset:
             raise ConfigurationError(
                 f"dataset has {inputs.shape[0]} inputs but {targets.shape[0]} targets"
             )
+        finite = np.all(np.isfinite(inputs), axis=1) & np.all(np.isfinite(targets), axis=1)
+        if not np.all(finite):
+            row = int(np.argmin(finite))
+            raise ConfigurationError(
+                f"dataset row {row + 1} has a non-finite entry: "
+                f"inputs {inputs[row]}, targets {targets[row]}"
+            )
 
     @property
     def size(self) -> int:
@@ -60,16 +68,6 @@ class Model:
             raise ConfigurationError(
                 f"dimension cap exceeded: model has {self.param_dim} parameters"
             )
-
-    def output_map(self, x) -> VectorMap:
-        """The map theta -> forward(x, theta) for one fixed input."""
-        x = np.asarray(x, dtype=float)
-        return VectorMap(
-            in_dim=self.param_dim,
-            out_dim=self.out_dim,
-            fn=lambda theta: self.forward(x, theta),
-            name=f"{self.kind} output",
-        )
 
 
 @dataclass(frozen=True)
@@ -165,12 +163,22 @@ def dataset_loss(model: Model, data: Dataset) -> ScalarField:
     return ScalarField(model.param_dim, fn, name=f"mse[{model.kind}]")
 
 
-def network_jacobian(model: Model, data: Dataset, theta) -> list[np.ndarray]:
-    """Per-sample (out_dim, param_dim) Jacobians of the model outputs."""
-    return [
-        diffcalc.jacobian(model.output_map(data.inputs[k]), theta)
-        for k in range(data.size)
-    ]
+def network_jacobian(
+    model: Model, data: Dataset, theta, chart: Optional[VectorMap] = None
+) -> list[np.ndarray]:
+    """Per-sample (out_dim, param_dim) Jacobians of the model outputs, in index order.
+
+    `theta` is seeded once.  With a `chart` theta_bar -> theta (a reparameterization's
+    inverse), `theta` is barred, entry k is the Jacobian of theta_bar -> forward(x_k,
+    chart(theta_bar)), and the chart maps the seeds once for all samples.
+    """
+    params = diffcalc.seed_duals(theta, order=1)
+    if chart is not None:
+        if (chart.in_dim, chart.out_dim) != (model.param_dim, model.param_dim):
+            raise ConfigurationError(f"chart dims do not match {model.param_dim} parameters")
+        params = chart.fn(params)
+    dims = (model.param_dim, model.out_dim, f"{model.kind} output")
+    return [diffcalc.jacobian_rows(model.forward(x, params), *dims, theta) for x in data.inputs]
 
 
 def quadratic_loss(matrix: np.ndarray, name: str = "quadratic") -> ScalarField:

@@ -4,6 +4,7 @@ import pytest
 from equiflow import (
     Dataset,
     ScalarField,
+    VectorMap,
     canonical_shear,
     dataset_loss,
     default_recipe,
@@ -12,6 +13,16 @@ from equiflow import (
     pullback_loss,
     quadratic_loss,
 )
+
+
+def output_map(model, x):
+    """The map theta -> model.forward(x, theta) for one fixed input."""
+    x = np.asarray(x, dtype=float)
+
+    def fn(theta):
+        return model.forward(x, theta)
+
+    return VectorMap(model.param_dim, model.out_dim, fn, name=f"{model.kind} output")
 
 
 def tanh_unit_loss():
@@ -59,9 +70,9 @@ def fd_vector_corpus():
     scale = affine_diffeomorphism(np.diag([2.0, 0.5, 1.5]))
     corpus.append(("diagonal-forward", scale.forward_map))
     model = mlp_tanh(1, 1, 1, bias=True)
-    corpus.append(("mlp-output", model.output_map([0.7])))
+    corpus.append(("mlp-output", output_map(model, [0.7])))
     lin = linear_model(3, 2)
-    corpus.append(("linear-output", lin.output_map([0.2, -0.4, 1.1])))
+    corpus.append(("linear-output", output_map(lin, [0.2, -0.4, 1.1])))
     return corpus
 
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import equiflow.cli as cli
 
 
@@ -58,6 +60,45 @@ class TestValidate:
         )
         diags = cli.validate(cli.load_config(path))
         assert any(d.severity == "fatal" and "in_dim" in d.message for d in diags)
+        assert cli.main(["run", str(path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"kind": "linear", "in_dim": 2.7},
+            {"kind": "linear", "in_dim": 0},
+            {"kind": "mlp-tanh", "in_dim": 1, "hidden": True},
+            {"kind": "mlp-tanh", "in_dim": 1, "hidden": 1, "bias": "false"},
+        ],
+        ids=["fractional-size", "zero-size", "boolean-size", "string-bias"],
+    )
+    def test_model_recipe_must_be_exact(self, tmp_path, model):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, model=model, out_dir=str(out))
+        diags = cli.validate(cli.load_config(path))
+        assert any(d.severity == "fatal" and "model" in d.message for d in diags)
+        assert cli.main(["run", str(path)]) == 2
+        assert not out.exists()
+
+    def test_boolean_bias_sets_the_parameter_count(self, tmp_path):
+        model = {"kind": "mlp-tanh", "in_dim": 1, "hidden": 1, "bias": False}
+        path = write_config(tmp_path, model=model, dims=[2])
+        assert cli.validate(cli.load_config(path)) == []
+        assert cli._build_model(model).param_dim == 2
+
+    def test_non_finite_dataset_rejected(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\nnan,0.5\n")
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            model={"kind": "linear", "in_dim": 1},
+            dataset={"path": str(data), "in_dim": 1, "out_dim": 1},
+            out_dir=str(out),
+        )
+        diags = cli.validate(cli.load_config(path))
+        assert any(d.severity == "fatal" and "row 2" in d.message for d in diags)
         assert cli.main(["run", str(path)]) == 2
         assert not out.exists()
 

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from equiflow import (
+    FAMILIES,
     ConfigurationError,
     Dataset,
     GaussianHead,
     Preconditioner,
     ScalarField,
     SingularMatrixError,
+    VectorMap,
     accelerated_flow,
     adam_stationary_flow,
+    canonical_shear,
+    default_recipe,
     fisher_matrix,
     flat_connection,
     ggn_matrix,
@@ -17,12 +21,14 @@ from equiflow import (
     hessian,
     identity_preconditioner,
     integrate,
+    jacobian,
     linear_model,
     mlp_tanh,
     nesterov_flow,
     newton_flow,
     preconditioned_flow,
     quadratic_loss,
+    sample_diffeomorphism,
     state_order1,
     state_order2,
 )
@@ -171,6 +177,61 @@ class TestFisherAndGgn:
         data = Dataset([[1.0, 0.0]], [[0.0]])
         with pytest.raises(ConfigurationError):
             ggn_matrix(model, data, np.eye(2), [0.0, 0.0])
+
+
+def per_sample_ggn(model, data, weight, g, theta_bar):
+    """The barred GGN built one sample at a time: each sample's Jacobian of
+    theta_bar -> forward(x_k, g^-1(theta_bar)) from its own seeds."""
+    total = np.zeros((model.param_dim, model.param_dim))
+    for x in data.inputs:
+        barred = VectorMap(
+            model.param_dim,
+            model.out_dim,
+            lambda tbar, x=x: model.forward(x, g.inverse_map.fn(tbar)),
+        )
+        jac = jacobian(barred, theta_bar)
+        total = total + jac.T @ (weight @ jac)
+    out = total / data.size
+    return 0.5 * (out + out.T)
+
+
+class TestGgnChart:
+    @pytest.mark.parametrize("kind", ("linear", "mlp-tanh"))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_barred_ggn_equals_per_sample_jacobians(self, kind, family):
+        model, data = default_recipe(4, seed=0, kind=kind)
+        rng = np.random.default_rng([7, FAMILIES.index(family)])
+        g = sample_diffeomorphism(family, 4, rng)
+        theta_bar = g.forward(rng.uniform(-1.5, 1.5, 4))
+        weight = np.diag(rng.uniform(0.5, 2.0, model.out_dim))
+        got = ggn_matrix(model, data, weight, theta_bar, chart=g.inverse_map).matrix
+        assert np.array_equal(got, per_sample_ggn(model, data, weight, g, theta_bar))
+
+    @pytest.mark.parametrize("size", (1, 4, 8))
+    def test_chart_applied_once_per_call(self, size):
+        model = mlp_tanh(1, 1, 1)
+        rng = np.random.default_rng(size)
+        data = Dataset(rng.uniform(-1, 1, (size, 1)), rng.uniform(-1, 1, (size, 1)))
+        g = canonical_shear(0.5, dim=4)
+        calls = []
+        chart = VectorMap(4, 4, lambda tbar: calls.append(1) or g.inverse_map.fn(tbar))
+        theta_bar = g.forward([0.3, -0.2, 0.8, 0.1])
+        form = ggn_matrix(model, data, np.eye(1), theta_bar, chart=chart)
+        assert len(calls) == 1
+        assert np.array_equal(form.matrix, per_sample_ggn(model, data, np.eye(1), g, theta_bar))
+
+    def test_fisher_takes_the_chart(self):
+        model, data = default_recipe(4, seed=0, kind="mlp-tanh")
+        g = canonical_shear(0.5, dim=4)
+        theta_bar = g.forward([0.3, -0.2, 0.8, 0.1])
+        fisher = fisher_matrix(GaussianHead(model, 0.5), data, theta_bar, chart=g.inverse_map)
+        ggn = ggn_matrix(model, data, np.eye(1) / 0.5, theta_bar, chart=g.inverse_map)
+        assert np.array_equal(fisher.matrix, ggn.matrix)
+
+    def test_chart_dimension_mismatch(self):
+        model, data = default_recipe(4, seed=0)
+        with pytest.raises(ConfigurationError):
+            ggn_matrix(model, data, np.eye(1), np.zeros(4), chart=canonical_shear(0.5).inverse_map)
 
 
 class TestPreconditionedFlow:

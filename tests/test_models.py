@@ -4,15 +4,21 @@ import pytest
 from equiflow import (
     ConfigurationError,
     Dataset,
+    EvaluationDomainError,
     GaussianHead,
+    Model,
+    canonical_shear,
     dataset_loss,
+    default_recipe,
     gradient,
+    jacobian,
     linear_model,
     load_dataset,
     mlp_tanh,
     network_jacobian,
     quadratic_model,
 )
+from conftest import output_map
 
 
 class TestDatasetLoss:
@@ -56,6 +62,14 @@ class TestDatasetLoss:
         with pytest.raises(ConfigurationError):
             Dataset(np.empty((0, 1)), np.empty((0, 1)))
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_entries_rejected(self, bad):
+        inputs = [[0.5, 1.0], [bad, 0.0], [1.0, bad]]
+        with pytest.raises(ConfigurationError, match="row 2"):
+            Dataset(inputs, [[1.0], [2.0], [3.0]])
+        with pytest.raises(ConfigurationError, match="row 3"):
+            Dataset([[0.5], [1.0], [2.0]], [[1.0], [2.0], [bad]])
+
     def test_dimension_mismatch_rejected(self):
         model = linear_model(2, 1)
         data = Dataset([[1.0]], [[2.0]])
@@ -84,8 +98,37 @@ class TestNetworkJacobian:
         data = Dataset([[0.8]], [[0.0]])
         theta = np.array([0.4, -0.3, 0.9, 0.2])
         jac = network_jacobian(model, data, theta)[0]
-        fd = fd_jacobian(lambda t: model.output_map(data.inputs[0]).value(t), theta)
+        fd = fd_jacobian(lambda t: output_map(model, data.inputs[0]).value(t), theta)
         assert np.max(np.abs(jac - fd)) <= 1e-5
+
+
+    @pytest.mark.parametrize("kind", ("linear", "mlp-tanh"))
+    def test_rows_equal_per_sample_jacobians(self, kind):
+        model, data = default_recipe(8, seed=3, kind=kind)
+        theta = np.random.default_rng(5).uniform(-1.5, 1.5, 8)
+        jacs = network_jacobian(model, data, theta)
+        assert len(jacs) == data.size
+        for x, jac in zip(data.inputs, jacs):
+            assert np.array_equal(jac, jacobian(output_map(model, x), theta))
+
+    def test_chart_composes_with_the_model(self):
+        model = mlp_tanh(1, 1, 1)
+        data = Dataset([[0.8], [-0.4]], [[0.0], [0.0]])
+        g = canonical_shear(0.7, dim=4)
+        theta_bar = np.array([0.4, -0.3, 0.9, 0.2])
+        jacs = network_jacobian(model, data, theta_bar, chart=g.inverse_map)
+        for x, jac in zip(data.inputs, jacs):
+            want = jacobian(output_map(model, x), g.inverse(theta_bar)) @ g.inverse_jacobian(
+                theta_bar
+            )
+            assert np.max(np.abs(jac - want)) <= 1e-12
+
+    def test_non_finite_row_is_a_domain_error(self):
+        model = Model("square", 1, 1, 1, lambda x, theta: np.asarray(theta) * (x * x))
+        data = Dataset([[1.0], [1e200]], [[0.0], [0.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(EvaluationDomainError, match="jacobian of square output"):
+                network_jacobian(model, data, [1.0])
 
 
 class TestGaussianHead:
