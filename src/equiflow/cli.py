@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,8 +140,8 @@ def validate(config: dict) -> list[Diagnostic]:
 
     if config.get("experiment") not in EXPERIMENTS:
         fatal(f"unknown experiment {config.get('experiment')!r}")
-    if not isinstance(config.get("seed"), int):
-        fatal("seed is mandatory and must be an integer")
+    if not _is_seed(config.get("seed")):
+        fatal(f"seed must be a non-negative integer, got {config.get('seed')!r}")
 
     for name in config.get("algorithms", []):
         if name not in ALGORITHMS:
@@ -153,46 +154,42 @@ def validate(config: dict) -> list[Diagnostic]:
     if not dims:
         fatal("dims must list at least one parameter dimension")
     for dim in dims:
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_count(dim):
             fatal(f"invalid dimension {dim!r}")
         elif dim > DIM_CAP:
             fatal(f"dimension cap exceeded: {dim} > {DIM_CAP}")
 
     tol = config.get("tolerance")
     threshold = config.get("violation_threshold")
-    if not (isinstance(tol, (int, float)) and tol > 0):
+    if not _is_positive_number(tol):
         fatal("tolerance must be a positive number")
-    if not (isinstance(threshold, (int, float)) and threshold > 0):
+    if not _is_positive_number(threshold):
         fatal("violation_threshold must be a positive number")
-    if isinstance(tol, (int, float)) and isinstance(threshold, (int, float)) and tol >= threshold:
+    if _is_number(tol) and _is_number(threshold) and tol >= threshold:
         fatal(
             f"tolerance {tol} must be strictly below the violation threshold {threshold}"
         )
 
-    if not isinstance(config.get("trials"), int) or config.get("trials", 0) < 1:
-        fatal("trials must be a positive integer")
-    elif config["trials"] == 1:
+    for key in ("trials", "states_per_trial", "steps"):
+        if not _is_count(config.get(key)):
+            fatal(f"{key} must be a positive integer, got {config.get(key)!r}")
+    if _is_count(config.get("trials")) and config["trials"] == 1:
         warn("single-trial runs give verdicts from one sampled reparameterization")
-    if not isinstance(config.get("states_per_trial"), int) or config.get("states_per_trial", 0) < 1:
-        fatal("states_per_trial must be a positive integer")
 
     for key in ("noise_variance", "r", "epsilon", "horizon", "h"):
-        value = config.get(key)
-        if not isinstance(value, (int, float)) or value <= 0:
-            fatal(f"{key} must be a positive number")
-    if not isinstance(config.get("steps"), int) or config.get("steps", 0) < 1:
-        fatal("steps must be a positive integer")
+        if not _is_positive_number(config.get(key)):
+            fatal(f"{key} must be a positive number, got {config.get(key)!r}")
     if config.get("scheme") not in SCHEMES:
         fatal(f"unknown scheme {config.get('scheme')!r}")
     h_list = config.get("h_list", [])
-    if not h_list or any(not isinstance(h, (int, float)) or h <= 0 for h in h_list):
+    if not h_list or not all(map(_is_positive_number, h_list)):
         fatal("h_list must be a non-empty list of positive step sizes")
 
     diffeo = config.get("diffeo") or {}
     if not isinstance(diffeo, dict) or diffeo.get("family") not in FAMILIES:
         fatal(f"diffeo must name a family among {FAMILIES}")
-    elif not isinstance(diffeo.get("seed", 0), int):
-        fatal("diffeo seed must be an integer")
+    elif not _is_seed(diffeo.get("seed", 0)):
+        fatal(f"diffeo seed must be a non-negative integer, got {diffeo.get('seed')!r}")
 
     model_cfg = config.get("model")
     if model_cfg is not None:
@@ -227,10 +224,26 @@ def validate(config: dict) -> list[Diagnostic]:
 
     theta0 = config.get("theta0")
     if theta0 is not None and (
-        not isinstance(theta0, list) or any(not isinstance(v, (int, float)) for v in theta0)
+        not isinstance(theta0, list) or not all(map(_is_number, theta0))
     ):
         fatal("theta0 must be a list of numbers")
     return out
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _is_positive_number(value) -> bool:
+    return _is_number(value) and value > 0
+
+
+def _is_seed(value) -> bool:
+    """A non-negative JSON integer, as `np.random.default_rng` takes."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _is_count(value) -> bool:

@@ -1,12 +1,18 @@
 """Exact derivatives of scalar losses and vector maps on small parameter spaces.
 
 The differentiation mechanism is forward-mode arithmetic on `Dual2` values,
-which carry a value, a gradient, and optionally a dense Hessian.  Model and
+which carry a value, a gradient, and optionally a Hessian.  Model and
 reparameterization code is written against plain numpy operations; evaluating
 it on an object array of `Dual2` seeds yields derivatives that are exact to
 roundoff.  Central finite differences (`fd_gradient`, `fd_jacobian`) are
 provided as the independent validation oracle and are never used to produce
 derivatives.
+
+An order-2 pass carries every first derivative too, so `gradient_and_hessian`
+and `jacobian_and_second_derivatives` return both orders from one pass;
+`hessian` and `second_derivatives` read from that same pass.  `gradient` and
+`jacobian` keep their cheaper order-1 pass.  Order-2 seeds carry the scalar
+zero Hessian `0.0` (see `Dual2`); every output Hessian is an (n, n) array.
 
 Everything here assumes dense linear algebra and parameter dimension at most
 `DIM_CAP`.
@@ -33,10 +39,18 @@ FD_STEP = 1e-5
 class Dual2:
     """Forward-mode number carrying value, gradient and optional Hessian.
 
-    `g` has shape (n,) and `h`, when present, shape (n, n).  `h is None`
-    selects first-order propagation; second derivatives are then never
-    computed.  All arithmetic rules keep `h` symmetric when the operands'
-    Hessians are symmetric.
+    `g` has shape (n,) and `h`, when present, shape (n, n) or is a scalar.
+    `h is None` selects first-order propagation; second derivatives are then
+    never computed.  All arithmetic rules keep `h` symmetric when the
+    operands' Hessians are symmetric.
+
+    A scalar `h` stands for the (n, n) matrix filled with it.  Order-2 seeds
+    carry `h = 0.0`; every rule acts elementwise on `h`, so a Hessian that is
+    uniformly +-0 gives, entry for entry and sign for sign, what that scalar
+    gives, and linear operations stay scalar until a product of duals or a
+    smooth function creates curvature.  Readers broadcast it with
+    `np.full((n, n), h)`, which keeps the sign of a zero.  `0.0` is falsy:
+    test `h is None`, never the truth of `h`.
     """
 
     __slots__ = ("v", "g", "h")
@@ -235,26 +249,33 @@ class VectorMap:
 
 def seed_duals(theta, order: int) -> np.ndarray:
     """Object array of `Dual2` seeds at `theta`: entry i carries the unit
-    gradient e_i, and a zero Hessian when `order` is 2."""
+    gradient e_i, and the scalar zero Hessian when `order` is 2."""
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
     seeds = np.empty(n, dtype=object)
     for i in range(n):
         g = np.zeros(n)
         g[i] = 1.0
-        h = np.zeros((n, n)) if order == 2 else None
-        seeds[i] = Dual2(theta[i], g, h)
+        seeds[i] = Dual2(theta[i], g, 0.0 if order == 2 else None)
     return seeds
 
 
 def _dual_parts(out, n: int, order: int):
-    """Extract (value, grad, hess) from a possibly-constant fn output."""
+    """Extract (value, grad, hess) from a possibly-constant fn output; an
+    order-2 hess is always an (n, n) array."""
     if isinstance(out, Dual2):
-        h = out.h if order == 2 else None
+        h = None
+        if order == 2:
+            h = np.full((n, n), out.h) if np.ndim(out.h) == 0 else out.h
         return out.v, out.g, h
     # fn returned a plain constant: all derivatives vanish
     v = float(out)
     return v, np.zeros(n), (np.zeros((n, n)) if order == 2 else None)
+
+
+def _symmetrized(h) -> np.ndarray:
+    h = np.array(h, dtype=float)
+    return 0.5 * (h + h.T)
 
 
 def gradient(f: ScalarField, theta) -> np.ndarray:
@@ -266,14 +287,21 @@ def gradient(f: ScalarField, theta) -> np.ndarray:
     return np.array(g, dtype=float)
 
 
+def gradient_and_hessian(f: ScalarField, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(gradient, exactly symmetrized Hessian) of `f` at `theta` from one
+    order-2 pass; the gradient equals `gradient(f, theta)` bit for bit."""
+    out = f.fn(seed_duals(theta, order=2))
+    v, g, h = _dual_parts(out, f.dim, order=2)
+    if not (math.isfinite(v) and np.all(np.isfinite(g))):
+        raise EvaluationDomainError(f"gradient of {f.name or 'field'} non-finite at {theta}")
+    if not np.all(np.isfinite(h)):
+        raise EvaluationDomainError(f"hessian of {f.name or 'field'} non-finite at {theta}")
+    return np.array(g, dtype=float), _symmetrized(h)
+
+
 def hessian(f: ScalarField, theta) -> np.ndarray:
     """Second-derivative matrix of `f` at `theta`, exactly symmetrized."""
-    out = f.fn(seed_duals(theta, order=2))
-    v, _, h = _dual_parts(out, f.dim, order=2)
-    if not (math.isfinite(v) and np.all(np.isfinite(h))):
-        raise EvaluationDomainError(f"hessian of {f.name or 'field'} non-finite at {theta}")
-    h = np.array(h, dtype=float)
-    return 0.5 * (h + h.T)
+    return gradient_and_hessian(f, theta)[1]
 
 
 def jacobian(m: VectorMap, theta) -> np.ndarray:
@@ -283,8 +311,8 @@ def jacobian(m: VectorMap, theta) -> np.ndarray:
 
 
 def jacobian_rows(out, in_dim: int, out_dim: int, name: str, theta) -> np.ndarray:
-    """(out_dim, in_dim) Jacobian read off `out`, a map's output on the
-    first-order seeds of `theta`; constant components give zero rows."""
+    """(out_dim, in_dim) Jacobian read off `out`, a map's output on the seeds
+    of `theta` (either order); constant components give zero rows."""
     rows = []
     for comp in np.asarray(out, dtype=object).reshape(out_dim):
         _, g, _ = _dual_parts(comp, in_dim, order=1)
@@ -295,17 +323,27 @@ def jacobian_rows(out, in_dim: int, out_dim: int, name: str, theta) -> np.ndarra
     return jac
 
 
+def jacobian_and_second_derivatives(m: VectorMap, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(`jacobian`, `second_derivatives`) of `m` at `theta` from one order-2
+    pass; the Jacobian equals `jacobian(m, theta)` bit for bit."""
+    out = m.fn(seed_duals(theta, order=2))
+    jac = jacobian_rows(out, m.in_dim, m.out_dim, m.name or "map", theta)
+    return jac, _second_derivative_blocks(out, m, theta)
+
+
 def second_derivatives(m: VectorMap, theta) -> np.ndarray:
     """Rank-3 array D[l, i, j] = d^2 m^l / dtheta^i dtheta^j.
 
     Each D[l] is exactly symmetric.
     """
-    out = np.asarray(m.fn(seed_duals(theta, order=2)), dtype=object).reshape(m.out_dim)
+    return _second_derivative_blocks(m.fn(seed_duals(theta, order=2)), m, theta)
+
+
+def _second_derivative_blocks(out, m: VectorMap, theta) -> np.ndarray:
     blocks = []
-    for comp in out:
+    for comp in np.asarray(out, dtype=object).reshape(m.out_dim):
         _, _, h = _dual_parts(comp, m.in_dim, order=2)
-        h = np.array(h, dtype=float)
-        blocks.append(0.5 * (h + h.T))
+        blocks.append(_symmetrized(h))
     d2 = np.stack(blocks)
     if not np.all(np.isfinite(d2)):
         raise EvaluationDomainError(

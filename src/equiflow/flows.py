@@ -84,29 +84,28 @@ def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> Fl
     return FlowField("adam", order=1, autonomous=True, velocity=velocity)
 
 
-def newton_matrix(
-    loss: ScalarField, theta, connection: Optional[Connection] = None, grad=None
-) -> np.ndarray:
-    """The matrix Newton's flow inverts: the Hessian of `loss` at `theta`,
-    made covariant, H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given.
-
-    `grad` is the gradient at `theta` when the caller already has it.
-    """
-    hess = diffcalc.hessian(loss, theta)
+def _newton_system(loss: ScalarField, theta, connection: Optional[Connection]):
+    # (gradient, matrix Newton's flow inverts) from one order-2 pass
+    grad, hess = diffcalc.gradient_and_hessian(loss, theta)
     if connection is not None:
-        if grad is None:
-            grad = diffcalc.gradient(loss, theta)
         gamma = connection.christoffel_at(theta)
         hess = hess - np.einsum("kij,k->ij", gamma, grad)
-    return hess
+    return grad, hess
+
+
+def newton_matrix(
+    loss: ScalarField, theta, connection: Optional[Connection] = None
+) -> np.ndarray:
+    """The matrix Newton's flow inverts: the Hessian of `loss` at `theta`,
+    made covariant, H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given."""
+    return _newton_system(loss, theta, connection)[1]
 
 
 def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> FlowField:
     """dtheta/dxi = -H^-1 grad L with H the (optionally covariant) Hessian."""
 
     def velocity(state):
-        grad = diffcalc.gradient(loss, state.theta)
-        hess = newton_matrix(loss, state.theta, connection, grad)
+        grad, hess = _newton_system(loss, state.theta, connection)
         if np.linalg.cond(hess) > HESSIAN_MAX_CONDITION:
             raise SingularMatrixError(
                 "Hessian too ill-conditioned for Newton flow", point=state.theta

@@ -411,11 +411,10 @@ def pushforward_tangent(
     """The induced map on state-space tangents at `state`."""
     if velocity.order != state.order:
         raise ConfigurationError("state and velocity orders differ")
-    jac = g.jacobian(state.theta)
     if state.order == 1:
-        return StateVelocity((jac @ velocity.dderivs[0],))
+        return StateVelocity((g.jacobian(state.theta) @ velocity.dderivs[0],))
     u = state.velocity
-    d2 = g.second_derivatives(state.theta)
+    jac, d2 = diffcalc.jacobian_and_second_derivatives(g.forward_map, state.theta)
     quad = np.einsum("lij,i,j->l", d2, velocity.dderivs[0], u)
     return StateVelocity((jac @ velocity.dderivs[0], jac @ velocity.dderivs[1] + quad))
 

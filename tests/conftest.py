@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,18 @@ def output_map(model, x):
         return model.forward(x, theta)
 
     return VectorMap(model.param_dim, model.out_dim, fn, name=f"{model.kind} output")
+
+
+def counting(field):
+    """(`field`, a ScalarField or VectorMap, with a call counter on its `fn`;
+    the list each call appends to)."""
+    calls = []
+
+    def fn(theta):
+        calls.append(1)
+        return field.fn(theta)
+
+    return dataclasses.replace(field, fn=fn), calls
 
 
 def tanh_unit_loss():

@@ -107,6 +107,65 @@ class TestValidate:
         diags = cli.validate(cli.load_config(path))
         assert any("seed" in d.message for d in diags)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": 1.0}, "seed"),
+            ({"diffeo": {"family": "shear", "seed": -1}}, "diffeo seed"),
+            ({"diffeo": {"family": "shear", "seed": True}}, "diffeo seed"),
+            ({"dims": [True]}, "invalid dimension"),
+            ({"trials": True}, "trials"),
+            ({"states_per_trial": True}, "states_per_trial"),
+            ({"steps": True}, "steps"),
+            ({"steps": 2.5}, "steps"),
+            ({"h": True}, "h "),
+            ({"tolerance": True}, "tolerance"),
+            ({"violation_threshold": True}, "violation_threshold"),
+            ({"noise_variance": True}, "noise_variance"),
+            ({"r": True}, "r "),
+            ({"epsilon": True}, "epsilon"),
+            ({"horizon": True}, "horizon"),
+            ({"horizon": float("inf")}, "horizon"),
+            ({"tolerance": float("nan")}, "tolerance"),
+            ({"h_list": [0.1, True]}, "h_list"),
+            ({"theta0": [0.5, False]}, "theta0"),
+            ({"theta0": [0.5, float("nan")]}, "theta0"),
+        ],
+        ids=[
+            "negative-seed",
+            "boolean-seed",
+            "float-seed",
+            "negative-diffeo-seed",
+            "boolean-diffeo-seed",
+            "boolean-dim",
+            "boolean-trials",
+            "boolean-states-per-trial",
+            "boolean-steps",
+            "fractional-steps",
+            "boolean-h",
+            "boolean-tolerance",
+            "boolean-violation-threshold",
+            "boolean-noise-variance",
+            "boolean-r",
+            "boolean-epsilon",
+            "boolean-horizon",
+            "infinite-horizon",
+            "nan-tolerance",
+            "boolean-h-list-entry",
+            "boolean-theta0-entry",
+            "nan-theta0-entry",
+        ],
+    )
+    def test_seeds_counts_and_numbers_are_exact(self, tmp_path, overrides, key):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, out_dir=str(out), **overrides)
+        diags = cli.validate(cli.load_config(path))
+        assert any(d.severity == "fatal" and d.message.startswith(key) for d in diags), diags
+        assert cli.main(["run", str(path)]) == 2
+        assert not out.exists()
+
 
 class TestRun:
     def test_malformed_config_no_partial_files(self, tmp_path):
@@ -240,6 +299,13 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["seed"] == 9
         assert report["reports"][0]["seed"] == 9
+
+    def test_negative_seed_flag_is_a_diagnostic(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, algorithms=["gd"], dims=[2], trials=1, out_dir=str(out))
+        assert cli.main(["run", str(path), "--seed", "-1"]) == 2
+        assert "fatal: seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_custom_model_and_dataset_file(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from equiflow import (
+    FAMILIES,
     EvaluationDomainError,
     ScalarField,
     VectorMap,
+    dataset_loss,
+    default_recipe,
     fd_gradient,
     fd_jacobian,
     gradient,
+    gradient_and_hessian,
     hessian,
     jacobian,
+    jacobian_and_second_derivatives,
+    pullback_loss,
     quadratic_loss,
+    sample_diffeomorphism,
     second_derivatives,
 )
+from equiflow.diffcalc import Dual2
 from conftest import tanh_unit_loss
 
 
@@ -79,6 +87,21 @@ class TestHessian:
         f = tanh_unit_loss()
         h = hessian(f, [0.9, -1.2, 0.4])
         assert np.array_equal(h, h.T)
+
+
+    @pytest.mark.parametrize(
+        "f, dim",
+        [
+            (ScalarField(2, lambda t: 3.0), 2),
+            (ScalarField(3, lambda t: 2.0 * t[0] - t[2] + 1.0), 3),
+        ],
+        ids=["constant", "linear"],
+    )
+    def test_zero_hessian_is_a_matrix(self, f, dim):
+        h = hessian(f, np.full(dim, 0.5))
+        assert h.shape == (dim, dim)
+        assert np.array_equal(h, np.zeros((dim, dim)))
+        assert gradient_and_hessian(f, np.full(dim, 0.5))[1].shape == (dim, dim)
 
 
 class TestJacobian:
@@ -151,3 +174,63 @@ class TestFdAgreementAcrossCorpus:
             for _ in range(10):
                 theta = rng.uniform(-2.0, 2.0, m.in_dim)
                 assert rel_err(jacobian(m, theta), fd_jacobian(m.value, theta)) <= 1e-5, name
+
+
+# -- one order-2 pass with a scalar zero Hessian, against explicit zeros ---
+
+
+def zero_matrix_seeds(theta):
+    """Order-2 seeds with explicit (n, n) zero Hessians instead of the scalar 0.0."""
+    theta = np.asarray(theta, dtype=float)
+    n = theta.shape[0]
+    seeds = np.empty(n, dtype=object)
+    for i in range(n):
+        seeds[i] = Dual2(theta[i], np.eye(n)[i].copy(), np.zeros((n, n)))
+    return seeds
+
+
+def symmetrized(h):
+    return 0.5 * (h + h.T)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def sampled_map(family, dim, salt=""):
+    """(one map of `family`, a point) drawn from a seed named after the case."""
+    rng = np.random.default_rng(zlib.crc32(f"{salt}{dim}-{family}".encode()))
+    return sample_diffeomorphism(family, dim, rng), rng.uniform(-1.5, 1.5, dim)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", [2, 4, 8])
+class TestScalarZeroIsBitIdentical:
+    @pytest.mark.parametrize("kind", ["linear", "mlp-tanh"])
+    def test_losses(self, kind, dim, family):
+        model, data = default_recipe(dim, seed=0, kind=kind)
+        loss = dataset_loss(model, data)
+        g, theta = sampled_map(family, dim, salt=kind)
+        for f in (loss, pullback_loss(g, loss)):
+            want = f.fn(zero_matrix_seeds(theta))
+            grad, hess = gradient_and_hessian(f, theta)
+            assert_same_bits(grad, want.g)
+            assert_same_bits(grad, gradient(f, theta))
+            assert_same_bits(hess, symmetrized(want.h))
+            assert_same_bits(hessian(f, theta), symmetrized(want.h))
+
+    def test_maps(self, dim, family):
+        g, theta = sampled_map(family, dim)
+        for m in (g.forward_map, g.inverse_map):
+            out = np.asarray(m.fn(zero_matrix_seeds(theta)), dtype=object)
+            want_jac = np.stack([comp.g for comp in out])
+            want_d2 = np.stack([symmetrized(comp.h) for comp in out])
+            jac, d2 = jacobian_and_second_derivatives(m, theta)
+            assert_same_bits(jac, want_jac)
+            assert_same_bits(jac, jacobian(m, theta))
+            assert_same_bits(d2, want_d2)
+            assert_same_bits(second_derivatives(m, theta), want_d2)
+            if family != "shear":
+                assert np.array_equal(d2, np.zeros((dim, dim, dim)))

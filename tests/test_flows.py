@@ -13,10 +13,12 @@ from equiflow import (
     accelerated_flow,
     adam_stationary_flow,
     canonical_shear,
+    dataset_loss,
     default_recipe,
     fisher_matrix,
     flat_connection,
     ggn_matrix,
+    gradient,
     gradient_flow,
     hessian,
     identity_preconditioner,
@@ -26,12 +28,16 @@ from equiflow import (
     mlp_tanh,
     nesterov_flow,
     newton_flow,
+    newton_matrix,
     preconditioned_flow,
+    pullback_connection,
+    pullback_loss,
     quadratic_loss,
     sample_diffeomorphism,
     state_order1,
     state_order2,
 )
+from conftest import counting
 
 SPD = np.array([[2.0, 1.0], [1.0, 3.0]])
 
@@ -121,6 +127,26 @@ class TestNewtonFlow:
         with pytest.raises(SingularMatrixError) as info:
             flow(state_order1([0.0]))
         assert info.value.point is not None
+
+    @pytest.mark.parametrize("covariant", [False, True], ids=["plain", "covariant"])
+    def test_one_loss_pass_per_evaluation(self, covariant):
+        model, data = default_recipe(4, seed=0)
+        g = sample_diffeomorphism("shear", 4, np.random.default_rng(3))
+        loss, calls = counting(pullback_loss(g, dataset_loss(model, data)))
+        connection = pullback_connection(g) if covariant else None
+        flow = newton_flow(loss, connection=connection)
+        theta_bar = g.forward([0.3, -0.2, 0.5, 0.1])
+        for evaluations in (1, 2):
+            flow(state_order1(theta_bar))
+            assert len(calls) == evaluations
+        calls.clear()
+        matrix = newton_matrix(loss, theta_bar, connection)
+        assert len(calls) == 1
+        want = hessian(loss, theta_bar)
+        if covariant:
+            gamma = connection.christoffel_at(theta_bar)
+            want = want - np.einsum("kij,k->ij", gamma, gradient(loss, theta_bar))
+        assert np.array_equal(matrix, want)
 
 
 class TestFisherAndGgn:

@@ -4,7 +4,9 @@ import pytest
 from equiflow import (
     FAMILIES,
     ConfigurationError,
+    Diffeomorphism,
     Preconditioner,
+    StateVelocity,
     affine_diffeomorphism,
     canonical_shear,
     catalog,
@@ -13,6 +15,7 @@ from equiflow import (
     identity,
     integrate,
     invert,
+    jacobian,
     naturalizer_membership,
     nesterov_flow,
     pullback_connection,
@@ -21,6 +24,8 @@ from equiflow import (
     pushforward_tangent,
     quadratic_loss,
     sample_diffeomorphism,
+    second_derivatives,
+    state_order1,
     state_order2,
     transform_bilinear,
     translation,
@@ -30,6 +35,7 @@ from equiflow.geometry import (
     random_orthogonal,
     random_signed_permutation,
 )
+from conftest import counting
 
 
 def rotation2d(angle):
@@ -120,6 +126,22 @@ class TestPushforwardTangent:
         v = StateVelocity((np.array([1.0, 0.0]), np.array([0.0, 0.0])))
         out = pushforward_tangent(g, s, v)
         assert np.allclose(out.dderivs[1], [0.0, -0.5])
+
+    def test_one_map_pass_per_pushforward(self):
+        shear = canonical_shear(0.6, dim=3, func="tanh")
+        forward, calls = counting(shear.forward_map)
+        g = Diffeomorphism("shear", forward, shear.inverse_map)
+        theta, u = np.array([0.4, -0.3, 0.9]), np.array([1.0, 0.5, -0.2])
+        v = StateVelocity((np.array([0.2, -0.1, 0.3]), np.array([0.7, 0.0, -0.4])))
+        out = pushforward_tangent(g, state_order2(theta, u, time=0.5), v)
+        assert len(calls) == 1
+        jac = jacobian(shear.forward_map, theta)
+        quad = np.einsum("lij,i,j->l", second_derivatives(shear.forward_map, theta), v.dderivs[0], u)
+        assert np.array_equal(out.dderivs[0], jac @ v.dderivs[0])
+        assert np.array_equal(out.dderivs[1], jac @ v.dderivs[1] + quad)
+        calls.clear()
+        pushforward_tangent(g, state_order1(theta), StateVelocity((v.dderivs[0],)))
+        assert len(calls) == 1
 
     def test_trajectory_fd_oracle(self):
         # differentiate g(theta(xi)) twice along an integrated trajectory
