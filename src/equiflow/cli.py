@@ -41,6 +41,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,6 @@ from .harness import (
     TRIALS_PER_FAMILY,
     VIOLATION_THRESHOLD,
     FlowBuilder,
-    classify_equivariance,
     default_recipe,
     expected_verdict,
     render_reports_text,
@@ -188,7 +188,7 @@ def validate(config: dict) -> list[Diagnostic]:
     diffeo = config.get("diffeo") or {}
     if not isinstance(diffeo, dict) or diffeo.get("family") not in FAMILIES:
         fatal(f"diffeo must name a family among {FAMILIES}")
-    elif not _is_seed(diffeo.get("seed", 0)):
+    elif not _is_seed(diffeo.get("seed", DEFAULTS["diffeo"]["seed"])):
         fatal(f"diffeo seed must be a non-negative integer, got {diffeo.get('seed')!r}")
 
     model_cfg = config.get("model")
@@ -320,9 +320,10 @@ def _initial_state(config: dict, order: int, dim: int):
     return state_order1(theta)
 
 
-def _run_table(config: dict):
+def _table(config: dict):
+    """The verdict matrix over the config's dims, algorithms and families."""
     dims, builder = _problem(config)
-    table = reproduce_table(
+    return reproduce_table(
         dims=dims,
         algorithms=config["algorithms"],
         families=config["families"],
@@ -333,6 +334,10 @@ def _run_table(config: dict):
         violation_threshold=config["violation_threshold"],
         builder=builder,
     )
+
+
+def _run_table(config: dict):
+    table = _table(config)
     report = {"experiment": "table", "table": table.as_dict()}
     lines = ["dim,algorithm,family,verdict,expected,max_residual,mean_residual"]
     for dim, rep in table.reports:
@@ -347,22 +352,14 @@ def _run_table(config: dict):
 
 
 def _run_classify(config: dict):
-    dims, builder = _problem(config)
-    all_reports = []
+    table = _table(config)
+    # table.reports holds one run of len(families) reports per (dim, algorithm)
+    width = len(table.families)
     text_blocks = []
-    for dim in dims:
-        for algorithm in config["algorithms"]:
-            reports = classify_equivariance(
-                builder(algorithm, dim),
-                families=config["families"],
-                trials_per_family=config["trials"],
-                states_per_trial=config["states_per_trial"],
-                tolerance=config["tolerance"],
-                violation_threshold=config["violation_threshold"],
-                seed=config["seed"],
-            )
-            all_reports.extend({"dim": dim, **r.as_dict()} for r in reports)
-            text_blocks.append(f"N = {dim}, {algorithm}\n" + render_reports_text(reports))
+    for cell, (dim, algorithm) in enumerate(product(table.dims, table.algorithms)):
+        reports = [rep for _, rep in table.reports[cell * width : (cell + 1) * width]]
+        text_blocks.append(f"N = {dim}, {algorithm}\n" + render_reports_text(reports))
+    all_reports = [{"dim": dim, **rep.as_dict()} for dim, rep in table.reports]
     report = {"experiment": "classify", "reports": all_reports}
     return report, "\n\n".join(text_blocks), {}, 0
 
@@ -374,14 +371,14 @@ def _run_drift(config: dict):
     g = sample_diffeomorphism(
         diffeo_cfg["family"],
         dim,
-        np.random.default_rng([int(diffeo_cfg.get("seed", 0)), dim]),
+        np.random.default_rng([diffeo_cfg.get("seed", DEFAULTS["diffeo"]["seed"]), dim]),
     )
     results = []
     csvs = {}
     text_lines = []
     for algorithm in config["algorithms"]:
         flow_builder = builder(algorithm, dim)
-        start = _initial_state(config, flow_builder.order, dim)
+        start = _initial_state(config, flow_builder.build().order, dim)
         drift = equivariance_drift(
             flow_builder,
             g,
@@ -419,10 +416,10 @@ def _run_trajectory(config: dict):
     csvs = {}
     text_lines = []
     for algorithm in config["algorithms"]:
-        flow_builder = builder(algorithm, dim)
-        start = _initial_state(config, flow_builder.order, dim)
+        flow = builder(algorithm, dim).build()
+        start = _initial_state(config, flow.order, dim)
         trajectory = integrate(
-            flow_builder.build(),
+            flow,
             start,
             h=config["h"],
             steps=config["steps"],
@@ -473,7 +470,7 @@ def run(config: dict) -> int:
         return 2
 
     report, text, csvs, status = _RUNNERS[config["experiment"]](config)
-    report = {"config": _json_safe(config), **report}
+    report = {"config": config, **report}
 
     out_dir = Path(config["out_dir"])
     payloads = {
@@ -505,18 +502,6 @@ def _write_all(out_dir: Path, payloads: dict) -> None:
         raise
     for staging, target in staged:
         staging.replace(target)
-
-
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,9 @@
 """Small-step limiting flow fields of common training algorithms.
 
 Each constructor returns a `FlowField` mapping an `OptimizerState` to a
-`StateVelocity`.  Preconditioned flows re-evaluate their preconditioner at
-every state; nonautonomous flows regularize the 1/xi damping below `XI_MIN`.
+`StateVelocity`, and records in `FlowField.inverts` the matrix the flow
+inverts.  Preconditioned flows re-evaluate their preconditioner at every
+state; time-dependent flows regularize the 1/xi damping below `XI_MIN`.
 """
 
 from __future__ import annotations
@@ -36,12 +37,17 @@ HESSIAN_MAX_CONDITION = 1e12
 
 @dataclass(frozen=True)
 class FlowField:
-    """State-velocity field of one algorithm on one loss."""
+    """State-velocity field of one algorithm on one loss.
+
+    `inverts` is theta -> the matrix the flow inverts at theta (for a
+    contravariant preconditioner, the matrix it applies), or None when the
+    flow inverts nothing.
+    """
 
     algorithm: str
     order: int
-    autonomous: bool
     velocity: Callable
+    inverts: Optional[Callable] = None
     metadata: dict = field(default_factory=dict)
 
     def __call__(self, state: OptimizerState) -> StateVelocity:
@@ -58,18 +64,18 @@ def gradient_flow(loss: ScalarField) -> FlowField:
     def velocity(state):
         return StateVelocity((-diffcalc.gradient(loss, state.theta),))
 
-    return FlowField("gd", order=1, autonomous=True, velocity=velocity)
+    return FlowField("gd", order=1, velocity=velocity)
 
 
-def nesterov_flow(loss: ScalarField, xi_min: float = XI_MIN) -> FlowField:
+def nesterov_flow(loss: ScalarField) -> FlowField:
     """d^2 theta/dxi^2 = -(3/xi) dtheta/dxi - grad L, started at small xi."""
 
     def velocity(state):
-        damping = NESTEROV_DAMPING / max(state.time, xi_min)
+        damping = NESTEROV_DAMPING / max(state.time, XI_MIN)
         grad = diffcalc.gradient(loss, state.theta)
         return StateVelocity((state.velocity, -damping * state.velocity - grad))
 
-    return FlowField("nesterov", order=2, autonomous=False, velocity=velocity)
+    return FlowField("nesterov", order=2, velocity=velocity)
 
 
 def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> FlowField:
@@ -81,31 +87,23 @@ def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> Fl
         grad = diffcalc.gradient(loss, state.theta)
         return StateVelocity((-grad / (np.abs(grad) + epsilon),))
 
-    return FlowField("adam", order=1, autonomous=True, velocity=velocity)
-
-
-def _newton_system(loss: ScalarField, theta, connection: Optional[Connection]):
-    # (gradient, matrix Newton's flow inverts) from one order-2 pass
-    grad, hess = diffcalc.gradient_and_hessian(loss, theta)
-    if connection is not None:
-        gamma = connection.christoffel_at(theta)
-        hess = hess - np.einsum("kij,k->ij", gamma, grad)
-    return grad, hess
-
-
-def newton_matrix(
-    loss: ScalarField, theta, connection: Optional[Connection] = None
-) -> np.ndarray:
-    """The matrix Newton's flow inverts: the Hessian of `loss` at `theta`,
-    made covariant, H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given."""
-    return _newton_system(loss, theta, connection)[1]
+    return FlowField("adam", order=1, velocity=velocity)
 
 
 def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> FlowField:
-    """dtheta/dxi = -H^-1 grad L with H the (optionally covariant) Hessian."""
+    """dtheta/dxi = -H^-1 grad L with H the Hessian, made covariant,
+    H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given."""
+
+    def system(theta):
+        # (gradient, the matrix Newton's flow inverts) from one order-2 pass
+        grad, hess = diffcalc.gradient_and_hessian(loss, theta)
+        if connection is not None:
+            gamma = connection.christoffel_at(theta)
+            hess = hess - np.einsum("kij,k->ij", gamma, grad)
+        return grad, hess
 
     def velocity(state):
-        grad, hess = _newton_system(loss, state.theta, connection)
+        grad, hess = system(state.theta)
         if np.linalg.cond(hess) > HESSIAN_MAX_CONDITION:
             raise SingularMatrixError(
                 "Hessian too ill-conditioned for Newton flow", point=state.theta
@@ -113,7 +111,7 @@ def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> F
         return StateVelocity((-np.linalg.solve(hess, grad),))
 
     tag = "newton" if connection is None else "newton-covariant"
-    return FlowField(tag, order=1, autonomous=True, velocity=velocity)
+    return FlowField(tag, order=1, velocity=velocity, inverts=lambda theta: system(theta)[1])
 
 
 def ggn_matrix(
@@ -161,21 +159,28 @@ def _apply_inverse(matrix, vec, metadata):
     return vt.T @ (inv_s * (u.T @ vec))
 
 
+def _preconditioned_step(loss: ScalarField, precond: Callable, theta, metadata) -> np.ndarray:
+    # P^-1 grad L for a covariant form, P grad L for a contravariant one
+    grad = diffcalc.gradient(loss, theta)
+    form = precond(theta)
+    if form.variance == "contravariant":
+        return form.matrix @ grad
+    return _apply_inverse(form.matrix, grad, metadata)
+
+
 def preconditioned_flow(loss: ScalarField, precond: Callable) -> FlowField:
     """dtheta/dxi = -P(theta)^-1 grad L for a covariant preconditioner field."""
     metadata: dict = {}
 
     def velocity(state):
-        grad = diffcalc.gradient(loss, state.theta)
-        form = precond(state.theta)
-        if form.variance == "contravariant":
-            step = form.matrix @ grad
-        else:
-            step = _apply_inverse(form.matrix, grad, metadata)
-        return StateVelocity((-step,))
+        return StateVelocity((-_preconditioned_step(loss, precond, state.theta, metadata),))
 
     return FlowField(
-        "preconditioned", order=1, autonomous=True, velocity=velocity, metadata=metadata
+        "preconditioned",
+        order=1,
+        velocity=velocity,
+        inverts=lambda theta: precond(theta).matrix,
+        metadata=metadata,
     )
 
 
@@ -184,7 +189,6 @@ def accelerated_flow(
     precond: Callable,
     r: float = NESTEROV_DAMPING,
     connection: Optional[Connection] = None,
-    xi_min: float = XI_MIN,
 ) -> FlowField:
     """Accelerated preconditioned flow:
 
@@ -198,13 +202,8 @@ def accelerated_flow(
     metadata: dict = {}
 
     def velocity(state):
-        damping = r / max(state.time, xi_min)
-        grad = diffcalc.gradient(loss, state.theta)
-        form = precond(state.theta)
-        if form.variance == "contravariant":
-            step = form.matrix @ grad
-        else:
-            step = _apply_inverse(form.matrix, grad, metadata)
+        damping = r / max(state.time, XI_MIN)
+        step = _preconditioned_step(loss, precond, state.theta, metadata)
         accel = -damping * state.velocity - step
         if connection is not None:
             gamma = connection.christoffel_at(state.theta)
@@ -212,7 +211,11 @@ def accelerated_flow(
         return StateVelocity((state.velocity, accel))
 
     return FlowField(
-        "accelerated", order=2, autonomous=False, velocity=velocity, metadata=metadata
+        "accelerated",
+        order=2,
+        velocity=velocity,
+        inverts=lambda theta: precond(theta).matrix,
+        metadata=metadata,
     )
 
 

@@ -35,7 +35,6 @@ from .flows import (
     gradient_flow,
     nesterov_flow,
     newton_flow,
-    newton_matrix,
     preconditioned_flow,
 )
 from .geometry import (
@@ -64,9 +63,7 @@ ALGORITHMS = (
     "agn",
 )
 
-_ORDER2 = frozenset({"nesterov", "nngd", "agn"})
 _NEEDS_MODEL = frozenset({"ngd", "ggn", "nngd", "agn"})
-_CONNECTION_AWARE = frozenset({"newton-covariant", "nngd", "agn"})
 
 # Verdict classification thresholds: residual max <= tolerance is
 # equivariant, >= threshold is violated, anything between fails loudly.
@@ -78,9 +75,11 @@ TRIALS_PER_FAMILY = 32
 STATES_PER_TRIAL = 2
 TABLE_DIMS = (2, 4, 8)
 
-# States are drawn uniformly from this box, rejecting ill-conditioned points.
+# States are drawn uniformly from this box, rejecting ill-conditioned points,
+# with at most STATE_MAX_TRIES draws per state.
 STATE_BOX = 1.5
 STATE_MAX_CONDITION = 1e8
+STATE_MAX_TRIES = 100
 
 # Reference equivariance group of each algorithm's flow.
 EQUIVARIANCE_GROUPS = {
@@ -95,21 +94,18 @@ EQUIVARIANCE_GROUPS = {
     "agn": "Diff(M)",
 }
 
-_EQUIVARIANT_FAMILIES = {
-    "gd": frozenset({"translation", "euclidean", "signed-permutation"}),
-    "nesterov": frozenset({"translation", "euclidean", "signed-permutation"}),
-    "adam": frozenset({"translation", "signed-permutation"}),
-    "newton": frozenset({"translation", "euclidean", "signed-permutation", "affine"}),
-    "newton-covariant": frozenset(FAMILIES),
-    "ngd": frozenset(FAMILIES),
-    "ggn": frozenset(FAMILIES),
-    "nngd": frozenset(FAMILIES),
-    "agn": frozenset(FAMILIES),
+# The reparameterization families each reference group contains.
+_GROUP_FAMILIES = {
+    "E(N)": frozenset({"translation", "euclidean", "signed-permutation"}),
+    "B_N x T(N)": frozenset({"translation", "signed-permutation"}),
+    "Aff(N,R)": frozenset({"translation", "euclidean", "signed-permutation", "affine"}),
+    "Diff(M)": frozenset(FAMILIES),
 }
 
 
 def expected_verdict(algorithm: str, family: str) -> str:
-    return "equivariant" if family in _EQUIVARIANT_FAMILIES[algorithm] else "violated"
+    group = EQUIVARIANCE_GROUPS[algorithm]
+    return "equivariant" if family in _GROUP_FAMILIES[group] else "violated"
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,6 @@ class FlowBuilder:
     model: Optional[Model] = None
     data: Optional[Dataset] = None
     noise_variance: float = 0.5
-    ggn_weight: Optional[np.ndarray] = None
     r: float = NESTEROV_DAMPING
     epsilon: float = ADAM_EPSILON
 
@@ -144,22 +139,13 @@ class FlowBuilder:
     def dim(self) -> int:
         return self.loss.dim
 
-    @property
-    def order(self) -> int:
-        return 2 if self.algorithm in _ORDER2 else 1
-
-    def _weight(self) -> np.ndarray:
-        if self.ggn_weight is not None:
-            return np.asarray(self.ggn_weight, dtype=float)
-        return np.eye(self.model.out_dim)
-
     def _precondition_fn(self, reparam: Optional[Diffeomorphism]):
         # In the barred chart the model reads its parameters through g^-1.
         chart = None if reparam is None else reparam.inverse_map
         if self.algorithm in ("ngd", "nngd"):
             head = GaussianHead(self.model, self.noise_variance)
             return lambda theta: fisher_matrix(head, self.data, theta, chart)
-        weight = self._weight()
+        weight = np.eye(self.model.out_dim)
         return lambda theta: ggn_matrix(self.model, self.data, weight, theta, chart)
 
     def _connection(self, reparam: Optional[Diffeomorphism]):
@@ -195,15 +181,7 @@ class FlowBuilder:
     def inverted_matrix_fn(self, reparam: Optional[Diffeomorphism]):
         """theta -> the matrix this algorithm inverts in the given chart,
         or None when the algorithm inverts nothing."""
-        alg = self.algorithm
-        if alg in ("newton", "newton-covariant"):
-            loss = self.loss if reparam is None else pullback_loss(reparam, self.loss)
-            connection = self._connection(reparam) if alg == "newton-covariant" else None
-            return lambda theta: newton_matrix(loss, theta, connection)
-        if alg in _NEEDS_MODEL:
-            precond = self._precondition_fn(reparam)
-            return lambda theta: precond(theta).matrix
-        return None
+        return self.build(reparam).inverts
 
 
 @dataclass(frozen=True)
@@ -264,17 +242,16 @@ def naturality_residual(
 
 def _sample_state(
     rng: np.random.Generator,
-    builder: FlowBuilder,
+    algorithm: str,
+    base_flow: FlowField,
     g: Diffeomorphism,
     base_matrix_fn,
     barred_matrix_fn,
-    max_tries: int = 100,
 ) -> OptimizerState:
-    dim = builder.dim
-    for _ in range(max_tries):
-        theta = rng.uniform(-STATE_BOX, STATE_BOX, size=dim)
-        if builder.order == 2:
-            velocity = rng.uniform(-STATE_BOX, STATE_BOX, size=dim)
+    for _ in range(STATE_MAX_TRIES):
+        theta = rng.uniform(-STATE_BOX, STATE_BOX, size=g.dim)
+        if base_flow.order == 2:
+            velocity = rng.uniform(-STATE_BOX, STATE_BOX, size=g.dim)
             state = state_order2(theta, velocity, time=rng.uniform(0.5, 1.5))
         else:
             state = state_order1(theta)
@@ -288,9 +265,7 @@ def _sample_state(
             except (np.linalg.LinAlgError, SingularMatrixError):
                 continue
         return state
-    raise ConfigurationError(
-        f"could not sample a well-conditioned state for {builder.algorithm}"
-    )
+    raise ConfigurationError(f"could not sample a well-conditioned state for {algorithm}")
 
 
 _ALG_INDEX = {name: i for i, name in enumerate(ALGORITHMS)}
@@ -342,7 +317,9 @@ def classify_equivariance(
             barred_flow = builder.build(g)
             barred_matrix_fn = builder.inverted_matrix_fn(g)
             for _ in range(states_per_trial):
-                state = _sample_state(rng, builder, g, base_matrix_fn, barred_matrix_fn)
+                state = _sample_state(
+                    rng, builder.algorithm, base_flow, g, base_matrix_fn, barred_matrix_fn
+                )
                 residuals.append(_residual(base_flow, barred_flow, g, state))
         peak = float(np.max(residuals))
         if peak <= tolerance:

@@ -49,7 +49,7 @@ def integrate(
 ) -> Trajectory:
     """Integrate `flow` for `steps` fixed steps of size `h`.
 
-    Nonautonomous flows advance xi together with the state.  Raises
+    Time-dependent flows advance xi together with the state.  Raises
     `DivergenceError` with the offending step index if the state leaves the
     finite domain, including a flow evaluation that overflows or leaves its
     function's domain inside a step.

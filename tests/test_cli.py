@@ -391,3 +391,46 @@ class TestRun:
         )
         assert cli.main(["run", str(path), "--experiment", "trajectory"]) == 0
         assert (out / "trajectory_gd.csv").exists()
+
+    def test_drift_diffeo_seed_defaults_to_one(self, tmp_path):
+        results = []
+        for name, diffeo in (
+            ("bare", {"family": "affine"}),
+            ("seeded", {"family": "affine", "seed": 1}),
+        ):
+            out = tmp_path / name
+            path = write_config(
+                tmp_path,
+                name=f"{name}.json",
+                experiment="drift",
+                algorithms=["gd"],
+                dims=[2],
+                h_list=[0.1, 0.03],
+                horizon=0.5,
+                diffeo=diffeo,
+                out_dir=str(out),
+            )
+            assert cli.main(["run", str(path)]) == 0
+            results.append(json.loads((out / "report.json").read_text())["results"])
+        assert results[0] == results[1]
+
+    def test_classify_lists_every_cell_without_families(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            experiment="classify",
+            algorithms=["gd", "ngd"],
+            families=[],
+            dims=[2, 4],
+            trials=1,
+            out_dir=str(out),
+        )
+        assert cli.main(["run", str(path)]) == 0
+        assert json.loads((out / "report.json").read_text())["reports"] == []
+        blocks = (out / "report.txt").read_text().split("\n\n")
+        assert [block.splitlines()[0] for block in blocks] == [
+            "N = 2, gd",
+            "N = 2, ngd",
+            "N = 4, gd",
+            "N = 4, ngd",
+        ]

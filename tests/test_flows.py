@@ -28,7 +28,6 @@ from equiflow import (
     mlp_tanh,
     nesterov_flow,
     newton_flow,
-    newton_matrix,
     preconditioned_flow,
     pullback_connection,
     pullback_loss,
@@ -140,7 +139,7 @@ class TestNewtonFlow:
             flow(state_order1(theta_bar))
             assert len(calls) == evaluations
         calls.clear()
-        matrix = newton_matrix(loss, theta_bar, connection)
+        matrix = flow.inverts(theta_bar)
         assert len(calls) == 1
         want = hessian(loss, theta_bar)
         if covariant:

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from equiflow import (
+    ALGORITHMS,
+    FAMILIES,
     ConfigurationError,
     FlowBuilder,
+    GaussianHead,
     ScalarField,
     SingularMatrixError,
     ToleranceGapError,
@@ -12,8 +15,14 @@ from equiflow import (
     compose,
     default_flow_builder,
     expected_verdict,
+    fisher_matrix,
+    ggn_matrix,
+    gradient,
+    hessian,
     identity,
     naturality_residual,
+    pullback_connection,
+    pullback_loss,
     quadratic_loss,
     render_reports_text,
     render_table_text,
@@ -105,6 +114,42 @@ class TestFlowBuilderValidation:
         a = builder.build(g)(state)
         b = builder.build(g)(state)
         assert np.array_equal(a.as_vector(), b.as_vector())
+
+
+class TestInvertedMatrix:
+    """The conditioning pre-check reads the matrix each flow inverts."""
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp-tanh"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_each_algorithm_in_each_chart(self, algorithm, kind):
+        builder = default_flow_builder(algorithm, 4, seed=0, kind=kind)
+        model, data = builder.model, builder.data
+        rng = np.random.default_rng(8)
+        for g in [None] + [sample_diffeomorphism(f, 4, rng) for f in FAMILIES]:
+            theta = rng.uniform(-1.0, 1.0, size=4)
+            point = theta if g is None else g.forward(theta)
+            loss = builder.loss if g is None else pullback_loss(g, builder.loss)
+            matrix_fn = builder.inverted_matrix_fn(g)
+            if algorithm in ("gd", "nesterov", "adam"):
+                assert matrix_fn is None
+                continue
+            if algorithm in ("newton", "newton-covariant"):
+                want = hessian(loss, point)
+                if algorithm == "newton-covariant" and g is not None:
+                    gamma = pullback_connection(g).christoffel_at(point)
+                    want = want - np.einsum("kij,k->ij", gamma, gradient(loss, point))
+                flow = builder.build(g)
+                velocity = flow(state_order1(point)).dderivs[0]
+                step = np.linalg.solve(flow.inverts(point), gradient(loss, point))
+                assert np.array_equal(velocity, -step)
+            else:
+                chart = None if g is None else g.inverse_map
+                if algorithm in ("ngd", "nngd"):
+                    head = GaussianHead(model, builder.noise_variance)
+                    want = fisher_matrix(head, data, point, chart).matrix
+                else:
+                    want = ggn_matrix(model, data, np.eye(model.out_dim), point, chart).matrix
+            assert np.array_equal(matrix_fn(point), want), "base" if g is None else g.family
 
 
 class TestClassifyEquivariance:
