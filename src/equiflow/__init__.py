@@ -28,7 +28,6 @@ from .flows import (
     fisher_matrix,
     ggn_matrix,
     gradient_flow,
-    identity_preconditioner,
     nesterov_flow,
     newton_flow,
     preconditioned_flow,
@@ -38,13 +37,10 @@ from .geometry import (
     Connection,
     Diffeomorphism,
     OptimizerState,
-    Preconditioner,
     StateVelocity,
     affine_diffeomorphism,
-    canonical_shear,
     catalog,
     compose,
-    flat_connection,
     identity,
     invert,
     naturalizer_membership,
@@ -56,7 +52,6 @@ from .geometry import (
     shear_diffeomorphism,
     state_order1,
     state_order2,
-    transform_bilinear,
     translation,
 )
 from .harness import (
@@ -80,7 +75,6 @@ from .integrate import (
     equivariance_drift,
     integrate,
     trajectory_csv_text,
-    write_trajectory_csv,
 )
 from .models import (
     Dataset,
@@ -92,7 +86,6 @@ from .models import (
     mlp_tanh,
     network_jacobian,
     quadratic_loss,
-    quadratic_model,
 )
 
 __version__ = "0.1.0"

@@ -49,7 +49,7 @@ import numpy as np
 from .diffcalc import DIM_CAP
 from .errors import ConfigurationError, EquiflowError
 from .flows import XI_MIN
-from .geometry import FAMILIES, sample_diffeomorphism, state_order1, state_order2
+from .geometry import FAMILIES, catalog, state_order1, state_order2
 from .harness import (
     ALGORITHMS,
     EQUIVARIANCE_TOLERANCE,
@@ -368,11 +368,7 @@ def _run_drift(config: dict):
     dims, builder = _problem(config)
     dim = dims[0]
     diffeo_cfg = config["diffeo"]
-    g = sample_diffeomorphism(
-        diffeo_cfg["family"],
-        dim,
-        np.random.default_rng([diffeo_cfg.get("seed", DEFAULTS["diffeo"]["seed"]), dim]),
-    )
+    g = catalog(diffeo_cfg["family"], dim, diffeo_cfg.get("seed", DEFAULTS["diffeo"]["seed"]))
     results = []
     csvs = {}
     text_lines = []

@@ -2,8 +2,9 @@
 
 Each constructor returns a `FlowField` mapping an `OptimizerState` to a
 `StateVelocity`, and records in `FlowField.inverts` the matrix the flow
-inverts.  Preconditioned flows re-evaluate their preconditioner at every
-state; time-dependent flows regularize the 1/xi damping below `XI_MIN`.
+inverts.  A preconditioner is a field theta -> P(theta), the symmetric
+(n, n) array of a covariant form such as the Fisher or GGN, re-evaluated at
+every state; time-dependent flows regularize the 1/xi damping below `XI_MIN`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import diffcalc
 from .diffcalc import ScalarField, VectorMap
 from .errors import ConfigurationError, SingularMatrixError
-from .geometry import Connection, OptimizerState, Preconditioner, StateVelocity
+from .geometry import Connection, OptimizerState, StateVelocity
 from .models import Dataset, GaussianHead, Model, network_jacobian
 
 # 1/xi terms are evaluated at max(xi, XI_MIN); trajectories start there too.
@@ -34,14 +35,17 @@ PINV_CUTOFF = 1e-10
 # Beyond this condition number a Hessian solve is refused.
 HESSIAN_MAX_CONDITION = 1e12
 
+# A preconditioner whose entries differ from its transpose's by more is refused.
+FORM_SYMMETRY_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class FlowField:
     """State-velocity field of one algorithm on one loss.
 
-    `inverts` is theta -> the matrix the flow inverts at theta (for a
-    contravariant preconditioner, the matrix it applies), or None when the
-    flow inverts nothing.
+    `inverts` is theta -> the matrix the flow inverts at theta, a covariant
+    form (Hessian, covariant Hessian, Fisher or GGN), or None when the flow
+    inverts nothing.
     """
 
     algorithm: str
@@ -116,9 +120,10 @@ def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> F
 
 def ggn_matrix(
     model: Model, data: Dataset, weight, theta, chart: Optional[VectorMap] = None
-) -> Preconditioner:
+) -> np.ndarray:
     """Generalized Gauss-Newton form (1/|S|) sum J^T M J over `network_jacobian`
-    in index order; with a `chart` theta_bar -> theta, the barred chart's form."""
+    in index order, symmetrized; with a `chart` theta_bar -> theta, the barred
+    chart's form."""
     weight = np.asarray(weight, dtype=float)
     p = model.out_dim
     if weight.shape != (p, p):
@@ -135,12 +140,12 @@ def ggn_matrix(
     for jac in network_jacobian(model, data, theta, chart):
         total = total + jac.T @ (weight @ jac)
     out = total / data.size
-    return Preconditioner(0.5 * (out + out.T), variance="covariant")
+    return 0.5 * (out + out.T)
 
 
 def fisher_matrix(
     head: GaussianHead, data: Dataset, theta, chart: Optional[VectorMap] = None
-) -> Preconditioner:
+) -> np.ndarray:
     """Fisher information of the Gaussian head, realized as GGN with the
     inverse noise variance on the diagonal; `chart` as in `ggn_matrix`."""
     weight = np.eye(head.model.out_dim) / head.noise_variance
@@ -160,16 +165,20 @@ def _apply_inverse(matrix, vec, metadata):
 
 
 def _preconditioned_step(loss: ScalarField, precond: Callable, theta, metadata) -> np.ndarray:
-    # P^-1 grad L for a covariant form, P grad L for a contravariant one
+    # P^-1 grad L, with P(theta) checked before it reaches the SVD
     grad = diffcalc.gradient(loss, theta)
-    form = precond(theta)
-    if form.variance == "contravariant":
-        return form.matrix @ grad
-    return _apply_inverse(form.matrix, grad, metadata)
+    form = np.asarray(precond(theta), dtype=float)
+    if form.shape != (grad.size, grad.size):
+        raise ConfigurationError(
+            f"preconditioner shape {form.shape} is not ({grad.size}, {grad.size})"
+        )
+    if np.max(np.abs(form - form.T)) > FORM_SYMMETRY_TOLERANCE:
+        raise ConfigurationError("preconditioner matrix is not symmetric")
+    return _apply_inverse(form, grad, metadata)
 
 
 def preconditioned_flow(loss: ScalarField, precond: Callable) -> FlowField:
-    """dtheta/dxi = -P(theta)^-1 grad L for a covariant preconditioner field."""
+    """dtheta/dxi = -P(theta)^-1 grad L for a preconditioner field `precond`."""
     metadata: dict = {}
 
     def velocity(state):
@@ -179,7 +188,7 @@ def preconditioned_flow(loss: ScalarField, precond: Callable) -> FlowField:
         "preconditioned",
         order=1,
         velocity=velocity,
-        inverts=lambda theta: precond(theta).matrix,
+        inverts=precond,
         metadata=metadata,
     )
 
@@ -214,12 +223,7 @@ def accelerated_flow(
         "accelerated",
         order=2,
         velocity=velocity,
-        inverts=lambda theta: precond(theta).matrix,
+        inverts=precond,
         metadata=metadata,
     )
 
-
-def identity_preconditioner(dim: int) -> Callable:
-    """Constant identity form; reduces preconditioned flows to their plain kin."""
-    eye = np.eye(dim)
-    return lambda theta: Preconditioner(eye, variance="covariant")

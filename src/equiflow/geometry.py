@@ -1,4 +1,4 @@
-"""Reparameterizations and how losses, states, and bilinear forms transform.
+"""Reparameterizations and how losses, states, and connections transform.
 
 The diffeomorphism catalog covers the five families the laboratory classifies
 against: translations, Euclidean motions, signed permutations with shifts,
@@ -103,34 +103,8 @@ def state_order2(theta, velocity, time: float) -> OptimizerState:
 
 
 # ---------------------------------------------------------------------------
-# preconditioners and connections
+# connections
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Preconditioner:
-    """A symmetric bilinear form with its index placement.
-
-    `variance` is "covariant" for lower-index forms (Fisher, GGN, Hessian)
-    and "contravariant" for upper-index forms (their inverses).
-    """
-
-    matrix: np.ndarray
-    variance: str = "covariant"
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ConfigurationError("preconditioner must be a square matrix")
-        if self.variance not in ("covariant", "contravariant"):
-            raise ConfigurationError(f"unknown variance tag {self.variance!r}")
-        if matrix.size and np.max(np.abs(matrix - matrix.T)) > 1e-8:
-            raise ConfigurationError("preconditioner matrix is not symmetric")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -145,11 +119,6 @@ class Connection:
         if gamma.shape != (self.dim, self.dim, self.dim):
             raise ConfigurationError(f"christoffel shape {gamma.shape} for dim {self.dim}")
         return gamma
-
-
-def flat_connection(dim: int) -> Connection:
-    zeros = np.zeros((dim, dim, dim))
-    return Connection(dim, lambda theta: zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +150,6 @@ class Diffeomorphism:
 
     def second_derivatives(self, theta) -> np.ndarray:
         return diffcalc.second_derivatives(self.forward_map, theta)
-
-    def inverse_jacobian(self, theta_bar) -> np.ndarray:
-        return diffcalc.jacobian(self.inverse_map, theta_bar)
 
     def inverse_second_derivatives(self, theta_bar) -> np.ndarray:
         return diffcalc.second_derivatives(self.inverse_map, theta_bar)
@@ -256,14 +222,6 @@ def shear_diffeomorphism(coeffs, func: str = "sin", label="") -> Diffeomorphism:
         VectorMap(n, n, bwd, name="shear^-1"),
         label or f"shear[{func}]",
     )
-
-
-def canonical_shear(beta: float, dim: int = 2, func: str = "sin") -> Diffeomorphism:
-    """The reference shear (theta_1, theta_2 + beta phi(theta_1), ...)."""
-    coeffs = np.zeros((dim, dim))
-    for k in range(1, dim):
-        coeffs[k, k - 1] = beta
-    return shear_diffeomorphism(coeffs, func=func, label=f"shear[{func},{beta}]")
 
 
 def invert(g: Diffeomorphism) -> Diffeomorphism:
@@ -417,26 +375,6 @@ def pushforward_tangent(
     jac, d2 = diffcalc.jacobian_and_second_derivatives(g.forward_map, state.theta)
     quad = np.einsum("lij,i,j->l", d2, velocity.dderivs[0], u)
     return StateVelocity((jac @ velocity.dderivs[0], jac @ velocity.dderivs[1] + quad))
-
-
-def transform_bilinear(
-    g: Diffeomorphism, form: Preconditioner, theta_bar
-) -> Preconditioner:
-    """Tensorial transform of a bilinear form into the barred chart.
-
-    Covariant forms contract with the inverse-map Jacobian twice; contravariant
-    forms with the forward Jacobian twice.
-    """
-    theta_bar = np.asarray(theta_bar, dtype=float)
-    if form.variance == "covariant":
-        jac = g.inverse_jacobian(theta_bar)
-    else:
-        jac = g.jacobian(g.inverse(theta_bar))
-        jac = jac.T  # contract theta_bar-per-theta indices symmetrically below
-    if np.linalg.cond(jac) > MAX_CONDITION:
-        raise SingularMatrixError("singular Jacobian in bilinear transform", theta_bar)
-    out = jac.T @ form.matrix @ jac
-    return Preconditioner(0.5 * (out + out.T), variance=form.variance)
 
 
 def pullback_connection(g: Diffeomorphism) -> Connection:

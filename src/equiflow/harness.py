@@ -16,7 +16,7 @@ included, with SeedSequence([seed, param_dim, 101]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -156,6 +156,10 @@ class FlowBuilder:
         return pullback_connection(reparam)
 
     def build(self, reparam: Optional[Diffeomorphism] = None) -> FlowField:
+        """This algorithm's flow, named after it, in the base chart or the barred chart."""
+        return replace(self._flow(reparam), algorithm=self.algorithm)
+
+    def _flow(self, reparam: Optional[Diffeomorphism]) -> FlowField:
         loss = self.loss if reparam is None else pullback_loss(reparam, self.loss)
         alg = self.algorithm
         if alg == "gd":
@@ -198,16 +202,7 @@ class ResidualReport:
     tolerance: float
 
     def as_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "family": self.family,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def _residual(

@@ -104,11 +104,6 @@ def trajectory_csv_text(trajectory: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(trajectory_csv_text(trajectory))
-
-
 @dataclass(frozen=True)
 class DriftResult:
     """Equivariance defect per step size, plus the fitted log-log slope."""

@@ -122,20 +122,6 @@ def mlp_tanh(in_dim: int, hidden: int, out_dim: int, bias: bool = True) -> Model
     return Model("mlp-tanh", in_dim, out_dim, param_dim, forward)
 
 
-def quadratic_model(factor: np.ndarray) -> Model:
-    """f(x, theta) = R theta, input-independent; the loss it induces under
-    mean squared error is an exact quadratic in theta."""
-    factor = np.asarray(factor, dtype=float)
-    if factor.ndim != 2:
-        raise ConfigurationError("quadratic-surrogate factor must be a matrix")
-    out_dim, param_dim = factor.shape
-
-    def forward(x, theta):
-        return factor @ np.asarray(theta)
-
-    return Model("quadratic-surrogate", 1, out_dim, param_dim, forward)
-
-
 def dataset_loss(model: Model, data: Dataset) -> ScalarField:
     """Mean squared error (1/|S|) sum 1/2 ||f(x, theta) - y||^2.
 

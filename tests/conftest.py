@@ -4,17 +4,51 @@ import numpy as np
 import pytest
 
 from equiflow import (
+    Connection,
     Dataset,
+    Model,
     ScalarField,
     VectorMap,
-    canonical_shear,
     dataset_loss,
     default_recipe,
+    jacobian,
     linear_model,
     mlp_tanh,
     pullback_loss,
     quadratic_loss,
+    shear_diffeomorphism,
 )
+
+
+def canonical_shear(beta, dim=2, func="sin"):
+    """The reference shear (theta_1, theta_2 + beta phi(theta_1), ...)."""
+    coeffs = np.zeros((dim, dim))
+    for k in range(1, dim):
+        coeffs[k, k - 1] = beta
+    return shear_diffeomorphism(coeffs, func=func, label=f"shear[{func},{beta}]")
+
+
+def flat_connection(dim):
+    """The connection with every Christoffel symbol zero."""
+    zeros = np.zeros((dim, dim, dim))
+    return Connection(dim, lambda theta: zeros)
+
+
+def quadratic_model(factor):
+    """f(x, theta) = R theta, input-independent; under mean squared error it
+    induces an exact quadratic loss in theta."""
+    factor = np.asarray(factor, dtype=float)
+    out_dim, param_dim = factor.shape
+    return Model("quadratic-surrogate", 1, out_dim, param_dim, lambda x, theta: factor @ theta)
+
+
+def transform_bilinear(g, form, theta_bar):
+    """The tensor law for a covariant 2-form: `form` at g^-1(theta_bar) read in
+    the barred chart as J^T form J, J the inverse map's Jacobian at theta_bar,
+    symmetrized."""
+    jac = jacobian(g.inverse_map, theta_bar)
+    out = jac.T @ form @ jac
+    return 0.5 * (out + out.T)
 
 
 def output_map(model, x):

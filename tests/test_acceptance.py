@@ -11,7 +11,6 @@ from equiflow import (
     FAMILIES,
     FlowBuilder,
     GaussianHead,
-    Preconditioner,
     accelerated_flow,
     affine_diffeomorphism,
     classify_equivariance,
@@ -25,7 +24,6 @@ from equiflow import (
     ggn_matrix,
     gradient,
     hessian,
-    identity_preconditioner,
     integrate,
     jacobian,
     mlp_tanh,
@@ -40,10 +38,9 @@ from equiflow import (
     sample_diffeomorphism,
     state_order1,
     state_order2,
-    transform_bilinear,
 )
 from equiflow.flows import XI_MIN
-from conftest import fd_scalar_corpus, fd_vector_corpus
+from conftest import fd_scalar_corpus, fd_vector_corpus, transform_bilinear
 
 
 def report(num, ok, detail):
@@ -139,8 +136,8 @@ def test_criterion_4_fisher_ggn_identity():
             rng.uniform(-1.0, 1.0, (5, model.out_dim)),
         )
         theta = rng.uniform(-1.0, 1.0, model.param_dim)
-        fisher = fisher_matrix(GaussianHead(model, sigma2), data, theta).matrix
-        ggn = ggn_matrix(model, data, np.eye(model.out_dim) / sigma2, theta).matrix
+        fisher = fisher_matrix(GaussianHead(model, sigma2), data, theta)
+        ggn = ggn_matrix(model, data, np.eye(model.out_dim) / sigma2, theta)
         identical += int(np.array_equal(fisher, ggn))
     report(4, identical == 5, f"{identical}/5 seeded pairs bit-identical")
 
@@ -161,9 +158,7 @@ def test_criterion_5_covariant_hessian_tensoriality():
         assert np.linalg.norm(grad) >= 1e-2
         assert np.max(np.abs(d2)) >= 1e-2
 
-        transported = transform_bilinear(
-            g, Preconditioner(hessian(loss, theta)), theta_bar
-        ).matrix
+        transported = transform_bilinear(g, hessian(loss, theta), theta_bar)
         barred_loss = pullback_loss(g, loss)
         plain = hessian(barred_loss, theta_bar)
         gamma = pullback_connection(g).christoffel_at(theta_bar)
@@ -215,7 +210,7 @@ def test_criterion_6_discretization_drift():
 def test_criterion_7_accelerated_flow_reduction():
     loss = quadratic_loss(np.array([[2.0, 1.0], [1.0, 3.0]]))
     nag = nesterov_flow(loss)
-    acc = accelerated_flow(loss, identity_preconditioner(2), r=3.0)
+    acc = accelerated_flow(loss, lambda t: np.eye(2), r=3.0)
     worst = 0.0
     for seed in range(3):
         rng = np.random.default_rng(seed)

@@ -6,22 +6,18 @@ from equiflow import (
     ConfigurationError,
     Dataset,
     GaussianHead,
-    Preconditioner,
     ScalarField,
     SingularMatrixError,
     VectorMap,
     accelerated_flow,
     adam_stationary_flow,
-    canonical_shear,
     dataset_loss,
     default_recipe,
     fisher_matrix,
-    flat_connection,
     ggn_matrix,
     gradient,
     gradient_flow,
     hessian,
-    identity_preconditioner,
     integrate,
     jacobian,
     linear_model,
@@ -36,7 +32,7 @@ from equiflow import (
     state_order1,
     state_order2,
 )
-from conftest import counting
+from conftest import canonical_shear, counting, flat_connection, quadratic_model
 
 SPD = np.array([[2.0, 1.0], [1.0, 3.0]])
 
@@ -154,16 +150,13 @@ class TestFisherAndGgn:
         head = GaussianHead(model, noise_variance=1.0)
         data = Dataset([[2.0]], [[0.0]])
         form = fisher_matrix(head, data, [0.5])
-        assert np.allclose(form.matrix, [[4.0]])
-        assert form.variance == "covariant"
+        assert np.allclose(form, [[4.0]])
 
     def test_zero_jacobian_gives_zero(self):
-        from equiflow import quadratic_model
-
         model = quadratic_model(np.zeros((1, 2)))
         head = GaussianHead(model, noise_variance=2.0)
         data = Dataset([[0.0]], [[1.0]])
-        assert np.allclose(fisher_matrix(head, data, [1.0, 1.0]).matrix, 0.0)
+        assert np.allclose(fisher_matrix(head, data, [1.0, 1.0]), 0.0)
 
     def test_fisher_is_ggn_bit_identical(self):
         rng = np.random.default_rng(12)
@@ -177,25 +170,25 @@ class TestFisherAndGgn:
             theta = rng.uniform(-1, 1, model.param_dim)
             fisher = fisher_matrix(GaussianHead(model, sigma2), data, theta)
             ggn = ggn_matrix(model, data, np.eye(model.out_dim) / sigma2, theta)
-            assert np.array_equal(fisher.matrix, ggn.matrix)
+            assert np.array_equal(fisher, ggn)
 
     def test_ggn_outer_product(self):
         model = linear_model(2, 1)
         data = Dataset([[1.0, 1.0]], [[0.0]])
         form = ggn_matrix(model, data, np.eye(1), [0.0, 0.0])
-        assert np.allclose(form.matrix, [[1.0, 1.0], [1.0, 1.0]])
+        assert np.allclose(form, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_zero_weight_gives_zero(self):
         model = linear_model(2, 1)
         data = Dataset([[1.0, 1.0]], [[0.0]])
-        assert np.allclose(ggn_matrix(model, data, np.zeros((1, 1)), [0.0, 0.0]).matrix, 0.0)
+        assert np.allclose(ggn_matrix(model, data, np.zeros((1, 1)), [0.0, 0.0]), 0.0)
 
     def test_two_samples_average(self):
         model = linear_model(2, 1)
         data = Dataset([[1.0, 0.0], [0.0, 2.0]], [[0.0], [0.0]])
         form = ggn_matrix(model, data, np.eye(1), [0.0, 0.0])
         want = (np.outer([1, 0], [1, 0]) + np.outer([0, 2], [0, 2])) / 2
-        assert np.allclose(form.matrix, want)
+        assert np.allclose(form, want)
 
     def test_weight_shape_mismatch(self):
         model = linear_model(2, 1)
@@ -229,7 +222,7 @@ class TestGgnChart:
         g = sample_diffeomorphism(family, 4, rng)
         theta_bar = g.forward(rng.uniform(-1.5, 1.5, 4))
         weight = np.diag(rng.uniform(0.5, 2.0, model.out_dim))
-        got = ggn_matrix(model, data, weight, theta_bar, chart=g.inverse_map).matrix
+        got = ggn_matrix(model, data, weight, theta_bar, chart=g.inverse_map)
         assert np.array_equal(got, per_sample_ggn(model, data, weight, g, theta_bar))
 
     @pytest.mark.parametrize("size", (1, 4, 8))
@@ -243,7 +236,7 @@ class TestGgnChart:
         theta_bar = g.forward([0.3, -0.2, 0.8, 0.1])
         form = ggn_matrix(model, data, np.eye(1), theta_bar, chart=chart)
         assert len(calls) == 1
-        assert np.array_equal(form.matrix, per_sample_ggn(model, data, np.eye(1), g, theta_bar))
+        assert np.array_equal(form, per_sample_ggn(model, data, np.eye(1), g, theta_bar))
 
     def test_fisher_takes_the_chart(self):
         model, data = default_recipe(4, seed=0, kind="mlp-tanh")
@@ -251,7 +244,7 @@ class TestGgnChart:
         theta_bar = g.forward([0.3, -0.2, 0.8, 0.1])
         fisher = fisher_matrix(GaussianHead(model, 0.5), data, theta_bar, chart=g.inverse_map)
         ggn = ggn_matrix(model, data, np.eye(1) / 0.5, theta_bar, chart=g.inverse_map)
-        assert np.array_equal(fisher.matrix, ggn.matrix)
+        assert np.array_equal(fisher, ggn)
 
     def test_chart_dimension_mismatch(self):
         model, data = default_recipe(4, seed=0)
@@ -259,24 +252,72 @@ class TestGgnChart:
             ggn_matrix(model, data, np.eye(1), np.zeros(4), chart=canonical_shear(0.5).inverse_map)
 
 
+class TestFormContract:
+    """`ggn_matrix` and `fisher_matrix` give the symmetric float (n, n) array a
+    preconditioned flow inverts; a flow refuses a malformed form before its SVD."""
+
+    @staticmethod
+    def forms(kind):
+        """(loss, GGN, Fisher) at one point in the base chart and under one map per family."""
+        model, data = default_recipe(4, seed=0, kind=kind)
+        head = GaussianHead(model, 0.5)
+        loss = dataset_loss(model, data)
+        rng = np.random.default_rng(9)
+        for g in [None] + [sample_diffeomorphism(f, 4, rng) for f in FAMILIES]:
+            point = rng.uniform(-1.5, 1.5, 4)
+            chart, chart_loss = None, loss
+            if g is not None:
+                point, chart, chart_loss = g.forward(point), g.inverse_map, pullback_loss(g, loss)
+            yield (
+                chart_loss,
+                ggn_matrix(model, data, np.eye(1), point, chart),
+                fisher_matrix(head, data, point, chart),
+            )
+
+    @pytest.mark.parametrize("kind", ("linear", "mlp-tanh"))
+    def test_forms_are_symmetric_float_arrays(self, kind):
+        for _, ggn, fisher in self.forms(kind):
+            for form in (ggn, fisher):
+                assert type(form) is np.ndarray
+                assert form.dtype == np.float64 and form.shape == (4, 4)
+                assert np.array_equal(form, form.T)
+
+    @pytest.mark.parametrize("kind", ("linear", "mlp-tanh"))
+    def test_malformed_forms_refused(self, kind):
+        theta = np.array([0.3, -0.2, 0.5, 0.1])
+        for loss, ggn, _ in self.forms(kind):
+            skewed = ggn.copy()
+            skewed[0, 1] += 1e-6
+            nearly = ggn.copy()
+            nearly[0, 1] += 1e-10
+            for flow, state in (
+                (preconditioned_flow, state_order1(theta)),
+                (accelerated_flow, state_order2(theta, -theta, time=1.0)),
+            ):
+                for bad in (ggn[:, :3], ggn[:3], ggn[:3, :3], skewed):
+                    with pytest.raises(ConfigurationError, match="preconditioner"):
+                        flow(loss, lambda t: bad)(state)
+                flow(loss, lambda t: nearly)(state)
+
+
 class TestPreconditionedFlow:
     def test_identity_reduces_to_gradient_flow(self):
         loss = quadratic_loss(SPD)
         plain = gradient_flow(loss)
-        precond = preconditioned_flow(loss, identity_preconditioner(2))
+        precond = preconditioned_flow(loss, lambda t: np.eye(2))
         for theta in ([0.3, -0.9], [1.5, 0.2]):
             s = state_order1(theta)
             assert np.max(np.abs(plain(s).dderivs[0] - precond(s).dderivs[0])) <= 1e-15
 
     def test_scalar_by_hand(self):
         loss = ScalarField(1, lambda t: 8.0 * t[0])
-        flow = preconditioned_flow(loss, lambda t: Preconditioner(np.array([[4.0]])))
+        flow = preconditioned_flow(loss, lambda t: np.array([[4.0]]))
         assert np.allclose(flow(state_order1([0.0])).dderivs[0], [-2.0])
 
     def test_hessian_preconditioner_matches_newton(self):
         loss = quadratic_loss(SPD)
         newton = newton_flow(loss)
-        precond = preconditioned_flow(loss, lambda t: Preconditioner(hessian(loss, t)))
+        precond = preconditioned_flow(loss, lambda t: hessian(loss, t))
         rng = np.random.default_rng(13)
         for _ in range(5):
             s = state_order1(rng.uniform(-2, 2, 2))
@@ -285,29 +326,23 @@ class TestPreconditionedFlow:
     def test_rank_deficient_flagged_not_raised(self):
         loss = quadratic_loss(np.eye(2))
         singular = np.array([[1.0, 0.0], [0.0, 0.0]])
-        flow = preconditioned_flow(loss, lambda t: Preconditioner(singular))
+        flow = preconditioned_flow(loss, lambda t: singular)
         out = flow(state_order1([1.0, 1.0]))
         assert flow.metadata.get("pinv_cutoff_applied") is True
         assert np.allclose(out.dderivs[0], [-1.0, 0.0])
-
-    def test_contravariant_preconditioner(self):
-        loss = ScalarField(1, lambda t: 8.0 * t[0])
-        inv = Preconditioner(np.array([[0.25]]), variance="contravariant")
-        flow = preconditioned_flow(loss, lambda t: inv)
-        assert np.allclose(flow(state_order1([0.0])).dderivs[0], [-2.0])
 
 
 class TestAcceleratedFlow:
     def test_identity_reduces_to_nesterov(self):
         loss = quadratic_loss(SPD)
         nag = nesterov_flow(loss)
-        acc = accelerated_flow(loss, identity_preconditioner(2), r=3.0)
+        acc = accelerated_flow(loss, lambda t: np.eye(2), r=3.0)
         s = state_order2([0.4, -0.2], [1.0, 0.5], time=0.8)
         assert np.max(np.abs(nag(s).as_vector() - acc(s).as_vector())) <= 1e-15
 
     def test_rest_state_matches_preconditioned(self):
         loss = quadratic_loss(SPD)
-        precond = lambda t: Preconditioner(hessian(loss, t))
+        precond = lambda t: hessian(loss, t)
         first = preconditioned_flow(loss, precond)
         second = accelerated_flow(loss, precond, r=3.0)
         theta = [0.9, -0.3]
@@ -318,15 +353,13 @@ class TestAcceleratedFlow:
 
     def test_scalar_by_hand(self):
         loss = ScalarField(1, lambda t: 8.0 * t[0])
-        flow = accelerated_flow(
-            loss, lambda t: Preconditioner(np.array([[4.0]])), r=3.0
-        )
+        flow = accelerated_flow(loss, lambda t: np.array([[4.0]]), r=3.0)
         out = flow(state_order2([0.0], [1.0], time=1.0))
         assert np.allclose(out.dderivs[1], [-5.0])
 
     def test_positive_r_required(self):
         with pytest.raises(ConfigurationError):
-            accelerated_flow(quadratic_loss(np.eye(1)), identity_preconditioner(1), r=0.0)
+            accelerated_flow(quadratic_loss(np.eye(1)), lambda t: np.eye(1), r=0.0)
 
 
 class TestFlowInvariants:

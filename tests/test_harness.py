@@ -5,6 +5,7 @@ from equiflow import (
     ALGORITHMS,
     FAMILIES,
     ConfigurationError,
+    Dataset,
     FlowBuilder,
     GaussianHead,
     ScalarField,
@@ -13,6 +14,7 @@ from equiflow import (
     affine_diffeomorphism,
     classify_equivariance,
     compose,
+    dataset_loss,
     default_flow_builder,
     expected_verdict,
     fisher_matrix,
@@ -20,6 +22,7 @@ from equiflow import (
     gradient,
     hessian,
     identity,
+    linear_model,
     naturality_residual,
     pullback_connection,
     pullback_loss,
@@ -146,10 +149,35 @@ class TestInvertedMatrix:
                 chart = None if g is None else g.inverse_map
                 if algorithm in ("ngd", "nngd"):
                     head = GaussianHead(model, builder.noise_variance)
-                    want = fisher_matrix(head, data, point, chart).matrix
+                    want = fisher_matrix(head, data, point, chart)
                 else:
-                    want = ggn_matrix(model, data, np.eye(model.out_dim), point, chart).matrix
+                    want = ggn_matrix(model, data, np.eye(model.out_dim), point, chart)
             assert np.array_equal(matrix_fn(point), want), "base" if g is None else g.family
+
+
+class TestFlowName:
+    """A built flow carries its builder's algorithm, whichever constructor made it."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_flow_names_its_algorithm(self, algorithm):
+        builder = default_flow_builder(algorithm, 2, seed=0)
+        g = sample_diffeomorphism("shear", 2, np.random.default_rng(4))
+        for flow in (builder.build(), builder.build(g)):
+            assert flow.algorithm == algorithm
+            if flow.order == 1:
+                wrong = state_order2([0.1, 0.2], [1.0, 0.0], time=1.0)
+            else:
+                wrong = state_order1([0.1, 0.2])
+            with pytest.raises(ConfigurationError, match=f"^{algorithm} flow has order"):
+                flow(wrong)
+
+    def test_renamed_flow_keeps_its_metadata(self):
+        # a rank-1 GGN: the pseudo-inverse cutoff fires and is recorded
+        model = linear_model(2, 1)
+        data = Dataset([[1.0, 1.0]], [[0.0]])
+        flow = FlowBuilder("ggn", dataset_loss(model, data), model=model, data=data).build()
+        flow(state_order1([0.3, 0.1]))
+        assert flow.metadata["pinv_cutoff_points"] == 1
 
 
 class TestClassifyEquivariance:

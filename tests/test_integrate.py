@@ -12,7 +12,7 @@ from equiflow import (
     quadratic_loss,
     sample_diffeomorphism,
     state_order1,
-    write_trajectory_csv,
+    trajectory_csv_text,
 )
 from equiflow.harness import FlowBuilder
 
@@ -82,11 +82,9 @@ class TestIntegrate:
 
 
 class TestTrajectoryCsv:
-    def test_columns_and_rows(self, tmp_path):
+    def test_columns_and_rows(self):
         traj = integrate(gradient_flow(quadratic_loss(np.eye(2))), state_order1([1.0, 2.0]), 0.1, 3)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
-        lines = path.read_text().strip().splitlines()
+        lines = trajectory_csv_text(traj).strip().splitlines()
         assert lines[0] == "xi,theta_1,theta_2"
         assert len(lines) == 5  # header + initial + 3 steps
         values = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])

@@ -7,7 +7,6 @@ from equiflow import (
     EvaluationDomainError,
     GaussianHead,
     Model,
-    canonical_shear,
     dataset_loss,
     default_recipe,
     gradient,
@@ -16,9 +15,8 @@ from equiflow import (
     load_dataset,
     mlp_tanh,
     network_jacobian,
-    quadratic_model,
 )
-from conftest import output_map
+from conftest import canonical_shear, output_map, quadratic_model
 
 
 class TestDatasetLoss:
@@ -118,8 +116,8 @@ class TestNetworkJacobian:
         theta_bar = np.array([0.4, -0.3, 0.9, 0.2])
         jacs = network_jacobian(model, data, theta_bar, chart=g.inverse_map)
         for x, jac in zip(data.inputs, jacs):
-            want = jacobian(output_map(model, x), g.inverse(theta_bar)) @ g.inverse_jacobian(
-                theta_bar
+            want = jacobian(output_map(model, x), g.inverse(theta_bar)) @ jacobian(
+                g.inverse_map, theta_bar
             )
             assert np.max(np.abs(jac - want)) <= 1e-12
 
