@@ -6,30 +6,9 @@ targets and renamed into place only after every one is written, so a failed
 run leaves no partial files, and they contain no timestamps, so identical
 config+seed runs are byte-identical.
 
-Config keys, the experiments that read them, and where each default lives
-(`DEFAULTS` names the library value wherever the library has one):
-
-    experiment           all: table, classify, drift or trajectory   "table"
-    seed                 all: trial draws, synthetic data, theta0    0
-    dims                 all; drift and trajectory use the first     harness.TABLE_DIMS
-    algorithms           all                                         harness.ALGORITHMS
-    families             table, classify                             geometry.FAMILIES
-    trials               table, classify                             harness.TRIALS_PER_FAMILY
-    states_per_trial     table, classify                             harness.STATES_PER_TRIAL
-    tolerance            table, classify                             harness.EQUIVARIANCE_TOLERANCE
-    violation_threshold  table, classify                             harness.VIOLATION_THRESHOLD
-    noise_variance       all (ngd, nngd)                             FlowBuilder.noise_variance
-    r                    all (nngd, agn)                             FlowBuilder.r
-    epsilon              all (adam)                                  FlowBuilder.epsilon
-    model                all; fixes dims to its parameter count      none: harness.default_recipe
-    dataset              all, with model: path, in_dim, out_dim      none: harness.synthetic_dataset
-    diffeo               drift: family and seed                      {"family": "shear", "seed": 1}
-    h_list               drift                                       [0.1, 0.03, 0.01, 0.003, 0.001]
-    horizon              drift                                       integrate.DRIFT_HORIZON
-    scheme               drift, trajectory                           integrate.DEFAULT_SCHEME
-    h, steps             trajectory                                  0.01, 100
-    theta0               drift, trajectory                           none: drawn from seed
-    out_dir              all                                         "out"
+`KEYS` declares every config key once: its default (naming the library value
+wherever the library has one), the experiments that read it, and the check
+`validate` runs on it.
 
 Every experiment builds its flows through one problem path, `_problem`.
 """
@@ -43,6 +22,7 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -77,158 +57,6 @@ from .models import dataset_loss, linear_model, load_dataset, mlp_tanh
 
 EXPERIMENTS = ("classify", "table", "drift", "trajectory")
 
-DEFAULTS = {
-    "experiment": "table",
-    "seed": 0,
-    "dims": list(TABLE_DIMS),
-    "algorithms": list(ALGORITHMS),
-    "families": list(FAMILIES),
-    "trials": TRIALS_PER_FAMILY,
-    "states_per_trial": STATES_PER_TRIAL,
-    "tolerance": EQUIVARIANCE_TOLERANCE,
-    "violation_threshold": VIOLATION_THRESHOLD,
-    "noise_variance": FlowBuilder.noise_variance,
-    "r": FlowBuilder.r,
-    "epsilon": FlowBuilder.epsilon,
-    "model": None,
-    "dataset": None,
-    "diffeo": {"family": "shear", "seed": 1},
-    "h_list": [1e-1, 3e-2, 1e-2, 3e-3, 1e-3],
-    "horizon": DRIFT_HORIZON,
-    "scheme": DEFAULT_SCHEME,
-    "h": 0.01,
-    "steps": 100,
-    "theta0": None,
-    "out_dir": "out",
-}
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "fatal" or "warning"
-    message: str
-
-    def __str__(self):
-        return f"{self.severity}: {self.message}"
-
-
-def load_config(path) -> dict:
-    """Read a JSON config file and overlay it on the defaults."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"malformed config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config {path} must be a JSON object")
-    merged = dict(DEFAULTS)
-    merged.update(raw)
-    return merged
-
-
-def validate(config: dict) -> list[Diagnostic]:
-    """Collect fatal errors and warnings without executing or writing anything."""
-    out: list[Diagnostic] = []
-    fatal = lambda msg: out.append(Diagnostic("fatal", msg))
-    warn = lambda msg: out.append(Diagnostic("warning", msg))
-
-    for key in config:
-        if key not in DEFAULTS:
-            warn(f"unknown config key {key!r} is ignored")
-
-    if config.get("experiment") not in EXPERIMENTS:
-        fatal(f"unknown experiment {config.get('experiment')!r}")
-    if not _is_seed(config.get("seed")):
-        fatal(f"seed must be a non-negative integer, got {config.get('seed')!r}")
-
-    for name in config.get("algorithms", []):
-        if name not in ALGORITHMS:
-            fatal(f"unknown algorithm {name!r}")
-    for name in config.get("families", []):
-        if name not in FAMILIES:
-            fatal(f"unknown family {name!r}")
-
-    dims = config.get("dims", [])
-    if not dims:
-        fatal("dims must list at least one parameter dimension")
-    for dim in dims:
-        if not _is_count(dim):
-            fatal(f"invalid dimension {dim!r}")
-        elif dim > DIM_CAP:
-            fatal(f"dimension cap exceeded: {dim} > {DIM_CAP}")
-
-    tol = config.get("tolerance")
-    threshold = config.get("violation_threshold")
-    if not _is_positive_number(tol):
-        fatal("tolerance must be a positive number")
-    if not _is_positive_number(threshold):
-        fatal("violation_threshold must be a positive number")
-    if _is_number(tol) and _is_number(threshold) and tol >= threshold:
-        fatal(
-            f"tolerance {tol} must be strictly below the violation threshold {threshold}"
-        )
-
-    for key in ("trials", "states_per_trial", "steps"):
-        if not _is_count(config.get(key)):
-            fatal(f"{key} must be a positive integer, got {config.get(key)!r}")
-    if _is_count(config.get("trials")) and config["trials"] == 1:
-        warn("single-trial runs give verdicts from one sampled reparameterization")
-
-    for key in ("noise_variance", "r", "epsilon", "horizon", "h"):
-        if not _is_positive_number(config.get(key)):
-            fatal(f"{key} must be a positive number, got {config.get(key)!r}")
-    if config.get("scheme") not in SCHEMES:
-        fatal(f"unknown scheme {config.get('scheme')!r}")
-    h_list = config.get("h_list", [])
-    if not h_list or not all(map(_is_positive_number, h_list)):
-        fatal("h_list must be a non-empty list of positive step sizes")
-
-    diffeo = config.get("diffeo") or {}
-    if not isinstance(diffeo, dict) or diffeo.get("family") not in FAMILIES:
-        fatal(f"diffeo must name a family among {FAMILIES}")
-    elif not _is_seed(diffeo.get("seed", DEFAULTS["diffeo"]["seed"])):
-        fatal(f"diffeo seed must be a non-negative integer, got {diffeo.get('seed')!r}")
-
-    model_cfg = config.get("model")
-    if model_cfg is not None:
-        try:
-            model = _build_model(model_cfg)
-            if config.get("dims") and list(config["dims"]) != [model.param_dim]:
-                warn(
-                    f"custom model fixes the dimension to {model.param_dim}; "
-                    "dims entry is ignored"
-                )
-        except ConfigurationError as exc:
-            fatal(f"invalid model recipe: {exc}")
-
-    data_cfg = config.get("dataset")
-    if data_cfg is not None:
-        if model_cfg is None:
-            fatal("a dataset file requires an explicit model recipe")
-        if not isinstance(data_cfg, dict) or "path" not in data_cfg:
-            fatal("dataset must be an object with path, in_dim, out_dim")
-        else:
-            dims = [data_cfg.get(key) for key in ("in_dim", "out_dim")]
-            for key, value in zip(("in_dim", "out_dim"), dims):
-                if not _is_count(value):
-                    fatal(f"dataset {key} must be a positive integer, got {value!r}")
-            if not Path(data_cfg["path"]).exists():
-                fatal(f"dataset file {data_cfg['path']} does not exist")
-            elif all(map(_is_count, dims)):
-                try:
-                    load_dataset(data_cfg["path"], *dims)
-                except ConfigurationError as exc:
-                    fatal(str(exc))
-
-    theta0 = config.get("theta0")
-    if theta0 is not None and (
-        not isinstance(theta0, list) or not all(map(_is_number, theta0))
-    ):
-        fatal("theta0 must be a list of numbers")
-    return out
-
 
 def _is_number(value) -> bool:
     """A finite JSON number; true and false are not numbers."""
@@ -251,10 +79,170 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _build_model(recipe: dict):
-    if not isinstance(recipe, dict):
-        raise ConfigurationError("model must be an object")
+def _one_of(options: tuple) -> Callable:
+    return lambda value: value in options
 
+
+def _list_of(check: Callable, nonempty: bool = False) -> Callable:
+    """A JSON list, non-empty if asked, whose entries each pass `check`."""
+    return lambda v: isinstance(v, list) and (bool(v) or not nonempty) and all(map(check, v))
+
+
+def _object_or_null(value) -> bool:
+    return value is None or isinstance(value, dict)
+
+
+@dataclass(frozen=True)
+class Key:
+    default: object
+    check: Callable  # value -> bool
+    phrase: str  # completes "{name} must be ..." when the check fails
+
+
+KEYS = {
+    # every experiment
+    "experiment": Key("table", _one_of(EXPERIMENTS), f"one of {EXPERIMENTS}"),
+    "seed": Key(0, _is_seed, "a non-negative integer"),  # trial draws, synthetic data, theta0
+    "dims": Key(  # drift and trajectory use the first entry; a model recipe replaces them
+        list(TABLE_DIMS), _list_of(_is_count, True), "a non-empty list of positive integers"
+    ),
+    "algorithms": Key(
+        list(ALGORITHMS), _list_of(_one_of(ALGORITHMS)), f"a list of names among {ALGORITHMS}"
+    ),
+    # ngd, nngd
+    "noise_variance": Key(FlowBuilder.noise_variance, _is_positive_number, "a positive number"),
+    "r": Key(FlowBuilder.r, _is_positive_number, "a positive number"),  # nngd, agn
+    "epsilon": Key(FlowBuilder.epsilon, _is_positive_number, "a positive number"),  # adam
+    # null: harness.default_recipe; dataset null: harness.synthetic_dataset
+    "model": Key(None, _object_or_null, "null or a model recipe object"),
+    "dataset": Key(None, _object_or_null, "null or an object with path, in_dim, out_dim"),
+    "out_dir": Key("out", lambda value: isinstance(value, str), "a path string"),
+    # table and classify
+    "families": Key(
+        list(FAMILIES), _list_of(_one_of(FAMILIES)), f"a list of names among {FAMILIES}"
+    ),
+    "trials": Key(TRIALS_PER_FAMILY, _is_count, "a positive integer"),
+    "states_per_trial": Key(STATES_PER_TRIAL, _is_count, "a positive integer"),
+    "tolerance": Key(EQUIVARIANCE_TOLERANCE, _is_positive_number, "a positive number"),
+    "violation_threshold": Key(VIOLATION_THRESHOLD, _is_positive_number, "a positive number"),
+    # drift
+    "diffeo": Key(  # the map's family, and its seed (1 when absent)
+        {"family": "shear", "seed": 1},
+        lambda value: isinstance(value, dict) and value.get("family") in FAMILIES,
+        f"an object naming a family among {FAMILIES}",
+    ),
+    "h_list": Key(
+        [1e-1, 3e-2, 1e-2, 3e-3, 1e-3],
+        _list_of(_is_positive_number, True),
+        "a non-empty list of positive step sizes",
+    ),
+    "horizon": Key(DRIFT_HORIZON, _is_positive_number, "a positive number"),
+    # drift and trajectory; theta0 null: drawn from seed
+    "scheme": Key(DEFAULT_SCHEME, _one_of(SCHEMES), f"one of {SCHEMES}"),
+    "theta0": Key(None, lambda v: v is None or _list_of(_is_number)(v), "null or a list of numbers"),
+    # trajectory
+    "h": Key(0.01, _is_positive_number, "a positive number"),
+    "steps": Key(100, _is_count, "a positive integer"),
+}
+
+DEFAULTS = {name: key.default for name, key in KEYS.items()}
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    severity: str  # "fatal" or "warning"
+    message: str
+
+    def __str__(self):
+        return f"{self.severity}: {self.message}"
+
+
+def load_config(path) -> dict:
+    """Read a JSON config file and overlay it on the defaults."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"malformed config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config {path} must be a JSON object")
+    return {**DEFAULTS, **raw}
+
+
+def validate(config: dict) -> list[Diagnostic]:
+    """Collect fatal errors and warnings without executing or writing anything.
+
+    Every key's value is judged by its `KEYS` check; the rules after that
+    span keys or need a message of their own, and read only values that
+    passed their check.
+    """
+    out: list[Diagnostic] = []
+    fatal = lambda msg: out.append(Diagnostic("fatal", msg))
+    warn = lambda msg: out.append(Diagnostic("warning", msg))
+
+    for name in config:
+        if name not in KEYS:
+            warn(f"unknown config key {name!r} is ignored")
+    ok = {name: key.check(config.get(name)) for name, key in KEYS.items()}
+    for name, key in KEYS.items():
+        if not ok[name]:
+            fatal(f"{name} must be {key.phrase}, got {config.get(name)!r}")
+
+    dims = config["dims"] if ok["dims"] else []
+    for entry in dims:
+        if entry > DIM_CAP:
+            fatal(f"dims entry {entry} exceeds the dimension cap DIM_CAP = {DIM_CAP}")
+    tol, threshold = config.get("tolerance"), config.get("violation_threshold")
+    if ok["tolerance"] and ok["violation_threshold"] and tol >= threshold:
+        fatal(f"tolerance {tol} must be strictly below the violation threshold {threshold}")
+    if ok["trials"] and config["trials"] == 1:
+        warn("single-trial runs give verdicts from one sampled reparameterization")
+    if ok["diffeo"]:
+        diffeo_seed = config["diffeo"].get("seed", DEFAULTS["diffeo"]["seed"])
+        if not _is_seed(diffeo_seed):
+            fatal(f"diffeo seed must be a non-negative integer, got {diffeo_seed!r}")
+
+    dim = dims[0] if dims else None  # the parameter count drift and trajectory use
+    model_cfg = config.get("model")
+    if model_cfg is not None:
+        dim = None
+        if ok["model"]:
+            try:
+                dim = _build_model(model_cfg).param_dim
+            except ConfigurationError as exc:
+                fatal(f"model recipe is invalid: {exc}")
+        if dim is not None and dims and dims != [dim]:
+            warn(f"custom model fixes the dimension to {dim}; dims entry is ignored")
+
+    data_cfg = config.get("dataset")
+    if ok["dataset"] and data_cfg is not None:
+        if model_cfg is None:
+            fatal("dataset requires an explicit model recipe")
+        path = data_cfg.get("path")
+        sizes = [data_cfg.get(key) for key in ("in_dim", "out_dim")]
+        for key, value in zip(("in_dim", "out_dim"), sizes):
+            if not _is_count(value):
+                fatal(f"dataset {key} must be a positive integer, got {value!r}")
+        if not isinstance(path, str):
+            fatal(f"dataset path must be a string, got {path!r}")
+        elif not Path(path).exists():
+            fatal(f"dataset file {path} does not exist")
+        elif all(map(_is_count, sizes)):
+            try:
+                load_dataset(path, *sizes)
+            except ConfigurationError as exc:
+                fatal(str(exc))
+
+    theta0 = config.get("theta0") if ok["theta0"] else None
+    if config.get("experiment") in ("drift", "trajectory") and theta0 is not None and dim:
+        if len(theta0) != dim:
+            fatal(f"theta0 has length {len(theta0)}, expected {dim}")
+    return out
+
+
+def _build_model(recipe: dict):
     def size(key, default=None):
         value = recipe.get(key, default)
         if not _is_count(value):
@@ -306,15 +294,9 @@ def _problem(config: dict):
 
 def _initial_state(config: dict, order: int, dim: int):
     theta0 = config.get("theta0")
-    if theta0 is not None:
-        theta = np.asarray(theta0, dtype=float)
-        if theta.shape != (dim,):
-            raise ConfigurationError(
-                f"theta0 has length {theta.shape[0]}, expected {dim}"
-            )
-    else:
-        rng = np.random.default_rng([config["seed"], dim, 202])
-        theta = rng.uniform(-1.0, 1.0, size=dim)
+    if theta0 is None:
+        theta0 = np.random.default_rng([config["seed"], dim, 202]).uniform(-1.0, 1.0, size=dim)
+    theta = np.asarray(theta0, dtype=float)
     if order == 2:
         return state_order2(theta, np.zeros(dim), time=XI_MIN)
     return state_order1(theta)
@@ -523,18 +505,11 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "validate":
             diagnostics = validate(config)
-            for diag in diagnostics:
-                print(diag)
-            if not diagnostics:
-                print("config ok")
+            print("\n".join(map(str, diagnostics)) or "config ok")
             return 2 if any(d.severity == "fatal" for d in diagnostics) else 0
         # flag > file > default
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if args.out is not None:
-            config["out_dir"] = args.out
-        if args.experiment is not None:
-            config["experiment"] = args.experiment
+        flags = {"seed": args.seed, "out_dir": args.out, "experiment": args.experiment}
+        config.update((name, flag) for name, flag in flags.items() if flag is not None)
         return run(config)
     except EquiflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,7 +158,6 @@ def _apply_inverse(matrix, vec, metadata):
     s_max = s[0] if s.size else 0.0
     keep = s > PINV_CUTOFF * s_max
     if not np.all(keep):
-        metadata["pinv_cutoff_applied"] = True
         metadata["pinv_cutoff_points"] = metadata.get("pinv_cutoff_points", 0) + 1
     inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return vt.T @ (inv_s * (u.T @ vec))

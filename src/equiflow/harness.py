@@ -509,6 +509,12 @@ def reproduce_table(
 # ---------------------------------------------------------------------------
 
 
+def _columns(rows) -> list:
+    """Each row as one line, every cell left-justified to its column's width."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows]
+
+
 def render_reports_text(reports: Sequence[ResidualReport]) -> str:
     """Aligned-column text for a list of classification reports."""
     header = (
@@ -531,9 +537,7 @@ def render_reports_text(reports: Sequence[ResidualReport]) -> str:
                 rep.verdict,
             )
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
-    return "\n".join(lines)
+    return "\n".join(_columns(rows))
 
 
 def render_table_text(table: TableReport) -> str:
@@ -549,13 +553,7 @@ def render_table_text(table: TableReport) -> str:
                 + [verdicts[alg][f] for f in table.families]
                 + [EQUIVARIANCE_GROUPS[alg]]
             )
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        lines = [f"N = {dim}"]
-        lines += [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-            for row in rows
-        ]
-        blocks.append("\n".join(lines))
+        blocks.append("\n".join([f"N = {dim}"] + _columns(rows)))
     if table.mismatches:
         mm = ["mismatches:"]
         mm += [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,10 +128,18 @@ def equivariance_drift(
     Integrates the base-chart flow from `start` and the intrinsically built
     barred flow from the pushed-forward start over a fixed horizon, then
     measures the final-state mismatch in the barred chart.  The per-step
-    count is horizon/h, so a p-th order scheme shows slope ~ p.
+    count is horizon/h, so a p-th order scheme shows slope ~ p; an h for
+    which that count is not finite raises `ConfigurationError` before any
+    integration.
     """
     if horizon <= 0.0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
+    for h in h_list:
+        if not (h > 0.0 and math.isfinite(horizon / h)):
+            raise ConfigurationError(
+                f"step count horizon / h is not finite and positive for h = {h}, "
+                f"horizon = {horizon}"
+            )
     base_flow = flow_builder.build()
     barred_flow = flow_builder.build(g)
     start_barred = pushforward_state(g, start)

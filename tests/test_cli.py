@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,7 +118,7 @@ class TestValidate:
             ({"seed": 1.0}, "seed"),
             ({"diffeo": {"family": "shear", "seed": -1}}, "diffeo seed"),
             ({"diffeo": {"family": "shear", "seed": True}}, "diffeo seed"),
-            ({"dims": [True]}, "invalid dimension"),
+            ({"dims": [True]}, "dims"),
             ({"trials": True}, "trials"),
             ({"states_per_trial": True}, "states_per_trial"),
             ({"steps": True}, "steps"),
@@ -165,6 +168,44 @@ class TestValidate:
         assert any(d.severity == "fatal" and d.message.startswith(key) for d in diags), diags
         assert cli.main(["run", str(path)]) == 2
         assert not out.exists()
+
+    # a value of every JSON type, with the edge cases of numbers and lists
+    ODD_VALUES = (None, True, 0, -1, 1.5, float("nan"), "x", [], [True], {})
+
+    @pytest.mark.parametrize("name", sorted(cli.KEYS))
+    def test_every_key_rejects_odd_values_with_a_diagnostic(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        for index, value in enumerate(self.ODD_VALUES):
+            path = write_config(tmp_path, f"{index}.json", **{name: value})
+            diags = cli.validate(cli.load_config(path))
+            if cli.KEYS[name].check(value):
+                continue
+            assert any(
+                d.severity == "fatal" and d.message.startswith(name) for d in diags
+            ), (value, diags)
+            assert cli.main(["run", str(path)]) == 2
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                f"{i}.json" for i in range(index + 1)
+            )
+
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({"experiment": "drift", "dims": [2]}, 2),
+            ({"experiment": "trajectory", "model": {"kind": "linear", "in_dim": 4}}, 4),
+        ],
+        ids=["drift-dims", "trajectory-model"],
+    )
+    def test_theta0_length_is_checked(self, tmp_path, overrides, expected):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, theta0=[0.1, 0.2, 0.3], out_dir=str(out), **overrides)
+        diags = cli.validate(cli.load_config(path))
+        fatal = [d.message for d in diags if d.severity == "fatal"]
+        assert fatal == [f"theta0 has length 3, expected {expected}"]
+        assert cli.main(["run", str(path)]) == 2
+        assert not out.exists()
+        path = write_config(tmp_path, theta0=[0.1] * expected, out_dir=str(out), **overrides)
+        assert not any(d.severity == "fatal" for d in cli.validate(cli.load_config(path)))
 
 
 class TestRun:
@@ -434,3 +475,49 @@ class TestRun:
             "N = 4, gd",
             "N = 4, ngd",
         ]
+
+    def test_unrepresentable_step_count_is_a_diagnostic(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            experiment="drift",
+            algorithms=["gd"],
+            dims=[2],
+            h_list=[1e-320],
+            out_dir=str(out),
+        )
+        assert cli.main(["run", str(path)]) == 2
+        assert "error: step count horizon / h is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {
+                "experiment": "table",
+                "dims": [2],
+                "algorithms": ["gd", "adam", "ngd", "nngd"],
+                "trials": 2,
+            },
+            {"experiment": "drift", "dims": [2], "h_list": [0.1, 0.03]},
+        ],
+        ids=["table", "drift"],
+    )
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, config):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, out_dir=str(out), **config)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "4242"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            subprocess.run(
+                [sys.executable, "-m", "equiflow.cli", "run", str(path)],
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+            for f in out.iterdir():
+                f.unlink()
+        assert "report.json" in outputs[0]
+        assert outputs[0] == outputs[1]

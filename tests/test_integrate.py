@@ -133,3 +133,10 @@ class TestEquivarianceDrift:
         )
         assert 1.0 in result.diverged
         assert [h for h, _ in result.points] == [1e-2]
+
+    @pytest.mark.parametrize("h", [1e-320, 0.0, -0.1, float("nan")])
+    def test_step_count_must_be_finite_and_positive(self, h):
+        builder = FlowBuilder("gd", quadratic_loss(np.eye(2)))
+        g = sample_diffeomorphism("shear", 2, np.random.default_rng(7))
+        with pytest.raises(ConfigurationError, match=r"h = .*horizon = 1\.0"):
+            equivariance_drift(builder, g, state_order1([1.0, 0.5]), [0.1, h], horizon=1.0)
