@@ -205,12 +205,13 @@ def validate(config: dict) -> list[Diagnostic]:
             fatal(f"diffeo seed must be a non-negative integer, got {diffeo_seed!r}")
 
     dim = dims[0] if dims else None  # the parameter count drift and trajectory use
-    model_cfg = config.get("model")
+    model_cfg, model = config.get("model"), None
     if model_cfg is not None:
         dim = None
         if ok["model"]:
             try:
-                dim = _build_model(model_cfg).param_dim
+                model = _build_model(model_cfg)
+                dim = model.param_dim
             except ConfigurationError as exc:
                 fatal(f"model recipe is invalid: {exc}")
         if dim is not None and dims and dims != [dim]:
@@ -225,6 +226,12 @@ def validate(config: dict) -> list[Diagnostic]:
         for key, value in zip(("in_dim", "out_dim"), sizes):
             if not _is_count(value):
                 fatal(f"dataset {key} must be a positive integer, got {value!r}")
+        if model is not None and all(map(_is_count, sizes)):
+            if sizes != [model.in_dim, model.out_dim]:
+                fatal(
+                    f"dataset dims {sizes[0]}->{sizes[1]} do not match model dims "
+                    f"{model.in_dim}->{model.out_dim}"
+                )
         if not isinstance(path, str):
             fatal(f"dataset path must be a string, got {path!r}")
         elif not Path(path).exists():

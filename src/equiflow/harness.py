@@ -6,7 +6,10 @@ base chart or, given a reparameterization, intrinsically in the barred chart
 transform-consistent connection).  The
 naturality residual compares the pushed-forward flow value against the
 intrinsic barred flow value; classification runs seeded trials per
-reparameterization family and demands a crisp verdict.
+reparameterization family and demands a crisp verdict.  Each sampled state
+first passes a conditioning pre-check on the matrix the flow inverts in both
+charts; for the Fisher and GGN forms, the pre-check and the flow evaluation
+that follows share one evaluation of the form per state and chart.
 
 All randomness flows from one integer seed: every trial uses a PCG64
 generator seeded with SeedSequence([seed, dim, algorithm_index,
@@ -16,7 +19,7 @@ included, with SeedSequence([seed, param_dim, 101]).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -115,6 +118,13 @@ class FlowBuilder:
     Building with `reparam=None` yields the base-chart flow; building with a
     diffeomorphism yields the flow computed intrinsically in the barred
     chart.  Building is deterministic, so repeated builds are identical.
+
+    The builder keeps the last Fisher or GGN form it computed in the base
+    chart and in the most recent barred chart (matched by identity), with
+    the bits of the theta it was computed at.  Asked again at that theta in
+    that chart, as the flow is right after the conditioning pre-check, it
+    returns the same read-only array: one form evaluation per state and
+    chart.
     """
 
     algorithm: str
@@ -124,6 +134,8 @@ class FlowBuilder:
     noise_variance: float = 0.5
     r: float = NESTEROV_DAMPING
     epsilon: float = ADAM_EPSILON
+    # (reparam is None) -> (reparam, theta bytes, form) of that chart's last form
+    _forms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -144,9 +156,23 @@ class FlowBuilder:
         chart = None if reparam is None else reparam.inverse_map
         if self.algorithm in ("ngd", "nngd"):
             head = GaussianHead(self.model, self.noise_variance)
-            return lambda theta: fisher_matrix(head, self.data, theta, chart)
-        weight = np.eye(self.model.out_dim)
-        return lambda theta: ggn_matrix(self.model, self.data, weight, theta, chart)
+            form_at = lambda theta: fisher_matrix(head, self.data, theta, chart)
+        else:
+            weight = np.eye(self.model.out_dim)
+            form_at = lambda theta: ggn_matrix(self.model, self.data, weight, theta, chart)
+        slot = reparam is None
+
+        def precondition(theta):
+            key = np.asarray(theta, dtype=float).tobytes()
+            last = self._forms.get(slot)
+            if last is not None and last[0] is reparam and last[1] == key:
+                return last[2]
+            form = form_at(theta)
+            form.setflags(write=False)
+            self._forms[slot] = (reparam, key, form)
+            return form
+
+        return precondition
 
     def _connection(self, reparam: Optional[Diffeomorphism]):
         # The flat base-chart connection is implicit (Gamma = 0); only the

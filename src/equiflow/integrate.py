@@ -55,6 +55,19 @@ def integrate(
     finite domain, including a flow evaluation that overflows or leaves its
     function's domain inside a step.
     """
+    return Trajectory(scheme, h, (start, *_steps(flow, start, h, steps, scheme)))
+
+
+def _final(flow: FlowField, start: OptimizerState, h: float, steps: int, scheme: str):
+    """The last state `integrate` would return, holding one state at a time."""
+    state = start
+    for state in _steps(flow, start, h, steps, scheme):
+        pass
+    return state
+
+
+def _steps(flow: FlowField, start: OptimizerState, h: float, steps: int, scheme: str):
+    """The state after each step of `integrate`, one at a time."""
     if h <= 0.0:
         raise ConfigurationError(f"step size must be positive, got {h}")
     if steps < 1:
@@ -69,7 +82,6 @@ def integrate(
     def rhs(t, y):
         return flow(_pack(t, y, order, dim)).as_vector()
 
-    states = [start]
     for k in range(steps):
         try:
             if scheme == "euler":
@@ -87,8 +99,7 @@ def integrate(
             raise DivergenceError(
                 f"non-finite state after step {k + 1}", step_index=k + 1
             )
-        states.append(_pack(time, vec, order, dim))
-    return Trajectory(scheme, h, tuple(states))
+        yield _pack(time, vec, order, dim)
 
 
 def trajectory_csv_text(trajectory: Trajectory) -> str:
@@ -149,13 +160,13 @@ def equivariance_drift(
     for h in h_list:
         steps = max(1, round(horizon / h))
         try:
-            base = integrate(base_flow, start, h, steps, scheme=scheme)
-            barred = integrate(barred_flow, start_barred, h, steps, scheme=scheme)
+            base = _final(base_flow, start, h, steps, scheme)
+            barred = _final(barred_flow, start_barred, h, steps, scheme)
         except DivergenceError:
             diverged.append(float(h))
             continue
-        mapped = pushforward_state(g, base.final)
-        defect = float(np.linalg.norm(mapped.as_vector() - barred.final.as_vector()))
+        mapped = pushforward_state(g, base)
+        defect = float(np.linalg.norm(mapped.as_vector() - barred.as_vector()))
         points.append((float(h), defect))
 
     usable = [(h, d) for h, d in points if d > 0.0]

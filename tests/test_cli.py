@@ -66,6 +66,23 @@ class TestValidate:
         assert cli.main(["run", str(path)]) == 2
         assert not out.exists()
 
+    def test_dataset_dims_must_match_the_model(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\n-0.5,0.2\n")
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            experiment="classify",
+            model={"kind": "linear", "in_dim": 2},
+            dataset={"path": str(data), "in_dim": 1, "out_dim": 1},
+            out_dir=str(out),
+        )
+        diags = cli.validate(cli.load_config(path))
+        message = "dataset dims 1->1 do not match model dims 2->1"
+        assert any(d.severity == "fatal" and d.message == message for d in diags)
+        assert cli.main(["run", str(path)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "model",
         [

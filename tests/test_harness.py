@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import equiflow.flows
+import equiflow.harness
 from equiflow import (
     ALGORITHMS,
     FAMILIES,
@@ -153,6 +155,66 @@ class TestInvertedMatrix:
                 else:
                     want = ggn_matrix(model, data, np.eye(model.out_dim), point, chart)
             assert np.array_equal(matrix_fn(point), want), "base" if g is None else g.family
+
+
+class TestSharedForm:
+    """The pre-check and the flow share one Fisher/GGN evaluation per state and chart."""
+
+    @staticmethod
+    def count_forms(monkeypatch) -> list:
+        # every binding the builder's Fisher and GGN forms reach
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ggn_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(equiflow.flows, "ggn_matrix", counted)
+        monkeypatch.setattr(equiflow.harness, "ggn_matrix", counted)
+        return calls
+
+    @staticmethod
+    def fresh(builder, theta, g):
+        chart = None if g is None else g.inverse_map
+        if builder.algorithm in ("ngd", "nngd"):
+            head = GaussianHead(builder.model, builder.noise_variance)
+            return fisher_matrix(head, builder.data, theta, chart)
+        return ggn_matrix(builder.model, builder.data, np.eye(1), theta, chart)
+
+    @pytest.mark.parametrize("algorithm", ["ngd", "agn"])
+    def test_one_evaluation_per_state_and_chart(self, algorithm, monkeypatch):
+        calls = self.count_forms(monkeypatch)
+        builder = default_flow_builder(algorithm, 2, seed=0)
+        classify_equivariance(
+            builder, families=("shear",), trials_per_family=1, states_per_trial=2, seed=0
+        )
+        assert len(calls) == 2 * 2  # (base + barred) x states
+
+    @pytest.mark.parametrize("algorithm", ["ngd", "agn"])
+    def test_new_point_chart_or_builder_recomputes(self, algorithm, monkeypatch):
+        builder = default_flow_builder(algorithm, 2, seed=0)
+        rng = np.random.default_rng(9)
+        g, other = (sample_diffeomorphism("shear", 2, rng) for _ in range(2))
+        theta, moved = np.array([0.3, -0.2]), np.array([0.5, 0.1])
+        asks = [
+            (builder, moved, g),  # a different theta
+            (builder, moved, other),  # a different chart object at the same theta
+            (default_flow_builder(algorithm, 2, seed=0), moved, other),  # a second builder
+        ]
+        wants = [self.fresh(owner, point, chart) for owner, point, chart in asks]
+
+        calls = self.count_forms(monkeypatch)
+        first = builder.inverted_matrix_fn(g)(theta)
+        assert builder.build(g).inverts(theta) is first and len(calls) == 1
+        for count, (owner, point, chart), want in zip((2, 3, 4), asks, wants):
+            assert np.array_equal(owner.inverted_matrix_fn(chart)(point), want)
+            assert len(calls) == count
+
+    def test_shared_form_is_read_only(self):
+        builder = default_flow_builder("ggn", 2, seed=0)
+        form = builder.inverted_matrix_fn(None)(np.array([0.3, -0.2]))
+        with pytest.raises(ValueError):
+            form[0, 0] = 1.0
 
 
 class TestFlowName:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,19 @@ class TestEquivarianceDrift:
         g = sample_diffeomorphism("shear", 2, np.random.default_rng(7))
         with pytest.raises(ConfigurationError, match=r"h = .*horizon = 1\.0"):
             equivariance_drift(builder, g, state_order1([1.0, 0.5]), [0.1, h], horizon=1.0)
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # the study reads only each trajectory's final state and keeps no other
+        builder = FlowBuilder("gd", quadratic_loss(np.array([[2.0, 1.0], [1.0, 3.0]])))
+        g = sample_diffeomorphism("euclidean", 2, np.random.default_rng(3))
+
+        def peak_bytes(h):
+            tracemalloc.start()
+            try:
+                equivariance_drift(builder, g, state_order1([1.0, -0.5]), [h])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = peak_bytes(1e-2)  # 100 steps per chart
+        assert peak_bytes(2e-3) <= short + 64 * 1024  # 500 steps per chart
