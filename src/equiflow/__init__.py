@@ -23,14 +23,12 @@ from .errors import (
 )
 from .flows import (
     FlowField,
-    accelerated_flow,
     adam_stationary_flow,
     fisher_matrix,
     ggn_matrix,
     gradient_flow,
     nesterov_flow,
     newton_flow,
-    preconditioned_flow,
 )
 from .geometry import (
     FAMILIES,

@@ -48,6 +48,7 @@ from .harness import (
 from .integrate import (
     DEFAULT_SCHEME,
     DRIFT_HORIZON,
+    MAX_STEPS,
     SCHEMES,
     equivariance_drift,
     integrate,
@@ -111,7 +112,7 @@ KEYS = {
     ),
     # ngd, nngd
     "noise_variance": Key(FlowBuilder.noise_variance, _is_positive_number, "a positive number"),
-    "r": Key(FlowBuilder.r, _is_positive_number, "a positive number"),  # nngd, agn
+    "r": Key(FlowBuilder.r, _is_positive_number, "a positive number"),  # nesterov, nngd, agn
     "epsilon": Key(FlowBuilder.epsilon, _is_positive_number, "a positive number"),  # adam
     # null: harness.default_recipe; dataset null: harness.synthetic_dataset
     "model": Key(None, _object_or_null, "null or a model recipe object"),
@@ -146,6 +147,17 @@ KEYS = {
 }
 
 DEFAULTS = {name: key.default for name, key in KEYS.items()}
+
+# The keys each config object reads; a model recipe's depend on its kind.
+_FIELDS = {
+    "diffeo": ("family", "seed"),
+    "dataset": ("path", "in_dim", "out_dim"),
+    "linear": ("kind", "in_dim", "out_dim"),
+    "mlp-tanh": ("kind", "in_dim", "hidden", "out_dim", "bias"),
+}
+
+# At one parameter a shear is the identity and every rotation a signed permutation.
+_NEED_TWO_PARAMETERS = ("euclidean", "shear")
 
 
 @dataclass(frozen=True)
@@ -182,6 +194,11 @@ def validate(config: dict) -> list[Diagnostic]:
     fatal = lambda msg: out.append(Diagnostic("fatal", msg))
     warn = lambda msg: out.append(Diagnostic("warning", msg))
 
+    def unknown_fields(name: str, obj: dict, kind: str):
+        for key in obj:
+            if key not in _FIELDS[kind]:
+                warn(f"unknown {name} key {key!r} is ignored")
+
     for name in config:
         if name not in KEYS:
             warn(f"unknown config key {name!r} is ignored")
@@ -200,6 +217,7 @@ def validate(config: dict) -> list[Diagnostic]:
     if ok["trials"] and config["trials"] == 1:
         warn("single-trial runs give verdicts from one sampled reparameterization")
     if ok["diffeo"]:
+        unknown_fields("diffeo", config["diffeo"], "diffeo")
         diffeo_seed = config["diffeo"].get("seed", DEFAULTS["diffeo"]["seed"])
         if not _is_seed(diffeo_seed):
             fatal(f"diffeo seed must be a non-negative integer, got {diffeo_seed!r}")
@@ -212,6 +230,7 @@ def validate(config: dict) -> list[Diagnostic]:
             try:
                 model = _build_model(model_cfg)
                 dim = model.param_dim
+                unknown_fields("model", model_cfg, model_cfg["kind"])
             except ConfigurationError as exc:
                 fatal(f"model recipe is invalid: {exc}")
         if dim is not None and dims and dims != [dim]:
@@ -221,6 +240,7 @@ def validate(config: dict) -> list[Diagnostic]:
     if ok["dataset"] and data_cfg is not None:
         if model_cfg is None:
             fatal("dataset requires an explicit model recipe")
+        unknown_fields("dataset", data_cfg, "dataset")
         path = data_cfg.get("path")
         sizes = [data_cfg.get(key) for key in ("in_dim", "out_dim")]
         for key, value in zip(("in_dim", "out_dim"), sizes):
@@ -242,10 +262,31 @@ def validate(config: dict) -> list[Diagnostic]:
             except ConfigurationError as exc:
                 fatal(str(exc))
 
+    experiment = config.get("experiment")
     theta0 = config.get("theta0") if ok["theta0"] else None
-    if config.get("experiment") in ("drift", "trajectory") and theta0 is not None and dim:
+    if experiment in ("drift", "trajectory") and theta0 is not None and dim:
         if len(theta0) != dim:
             fatal(f"theta0 has length {len(theta0)}, expected {dim}")
+
+    param_counts = dims if model_cfg is None else [dim] if dim else []
+    if experiment in ("table", "classify") and 1 in param_counts and ok["families"]:
+        degenerate = [f for f in config["families"] if f in _NEED_TWO_PARAMETERS]
+        if degenerate:
+            fatal(f"families {degenerate} need at least 2 parameters; the dims include 1")
+    if experiment == "drift" and ok["diffeo"] and dim == 1:
+        if config["diffeo"]["family"] in _NEED_TWO_PARAMETERS:
+            fatal(f"diffeo family {config['diffeo']['family']!r} needs at least 2 parameters")
+    if experiment == "drift" and ok["h_list"] and ok["horizon"]:
+        for h in config["h_list"]:
+            # a count that is not finite is equivariance_drift's own error
+            count = config["horizon"] / h
+            if math.isfinite(count) and round(count) > MAX_STEPS:
+                fatal(
+                    f"step count horizon / h = {round(count)} exceeds MAX_STEPS = "
+                    f"{MAX_STEPS} for h = {h}"
+                )
+    if experiment == "trajectory" and ok["steps"] and config["steps"] > MAX_STEPS:
+        fatal(f"trajectory steps {config['steps']} exceed MAX_STEPS = {MAX_STEPS}")
     return out
 
 

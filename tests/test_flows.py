@@ -9,7 +9,6 @@ from equiflow import (
     ScalarField,
     SingularMatrixError,
     VectorMap,
-    accelerated_flow,
     adam_stationary_flow,
     dataset_loss,
     default_recipe,
@@ -24,7 +23,6 @@ from equiflow import (
     mlp_tanh,
     nesterov_flow,
     newton_flow,
-    preconditioned_flow,
     pullback_connection,
     pullback_loss,
     quadratic_loss,
@@ -291,8 +289,8 @@ class TestFormContract:
             nearly = ggn.copy()
             nearly[0, 1] += 1e-10
             for flow, state in (
-                (preconditioned_flow, state_order1(theta)),
-                (accelerated_flow, state_order2(theta, -theta, time=1.0)),
+                (gradient_flow, state_order1(theta)),
+                (nesterov_flow, state_order2(theta, -theta, time=1.0)),
             ):
                 for bad in (ggn[:, :3], ggn[:3], ggn[:3, :3], skewed):
                     with pytest.raises(ConfigurationError, match="preconditioner"):
@@ -304,20 +302,20 @@ class TestPreconditionedFlow:
     def test_identity_reduces_to_gradient_flow(self):
         loss = quadratic_loss(SPD)
         plain = gradient_flow(loss)
-        precond = preconditioned_flow(loss, lambda t: np.eye(2))
+        precond = gradient_flow(loss, lambda t: np.eye(2))
         for theta in ([0.3, -0.9], [1.5, 0.2]):
             s = state_order1(theta)
             assert np.max(np.abs(plain(s).dderivs[0] - precond(s).dderivs[0])) <= 1e-15
 
     def test_scalar_by_hand(self):
         loss = ScalarField(1, lambda t: 8.0 * t[0])
-        flow = preconditioned_flow(loss, lambda t: np.array([[4.0]]))
+        flow = gradient_flow(loss, lambda t: np.array([[4.0]]))
         assert np.allclose(flow(state_order1([0.0])).dderivs[0], [-2.0])
 
     def test_hessian_preconditioner_matches_newton(self):
         loss = quadratic_loss(SPD)
         newton = newton_flow(loss)
-        precond = preconditioned_flow(loss, lambda t: hessian(loss, t))
+        precond = gradient_flow(loss, lambda t: hessian(loss, t))
         rng = np.random.default_rng(13)
         for _ in range(5):
             s = state_order1(rng.uniform(-2, 2, 2))
@@ -326,7 +324,7 @@ class TestPreconditionedFlow:
     def test_rank_deficient_flagged_not_raised(self):
         loss = quadratic_loss(np.eye(2))
         singular = np.array([[1.0, 0.0], [0.0, 0.0]])
-        flow = preconditioned_flow(loss, lambda t: singular)
+        flow = gradient_flow(loss, lambda t: singular)
         out = flow(state_order1([1.0, 1.0]))
         assert flow.metadata.get("pinv_cutoff_points") == 1
         assert np.allclose(out.dderivs[0], [-1.0, 0.0])
@@ -336,15 +334,15 @@ class TestAcceleratedFlow:
     def test_identity_reduces_to_nesterov(self):
         loss = quadratic_loss(SPD)
         nag = nesterov_flow(loss)
-        acc = accelerated_flow(loss, lambda t: np.eye(2), r=3.0)
+        acc = nesterov_flow(loss, lambda t: np.eye(2), r=3.0)
         s = state_order2([0.4, -0.2], [1.0, 0.5], time=0.8)
         assert np.max(np.abs(nag(s).as_vector() - acc(s).as_vector())) <= 1e-15
 
     def test_rest_state_matches_preconditioned(self):
         loss = quadratic_loss(SPD)
         precond = lambda t: hessian(loss, t)
-        first = preconditioned_flow(loss, precond)
-        second = accelerated_flow(loss, precond, r=3.0)
+        first = gradient_flow(loss, precond)
+        second = nesterov_flow(loss, precond, r=3.0)
         theta = [0.9, -0.3]
         s2 = state_order2(theta, [0.0, 0.0], time=5.0)
         accel = second(s2).dderivs[1]
@@ -353,13 +351,15 @@ class TestAcceleratedFlow:
 
     def test_scalar_by_hand(self):
         loss = ScalarField(1, lambda t: 8.0 * t[0])
-        flow = accelerated_flow(loss, lambda t: np.array([[4.0]]), r=3.0)
+        flow = nesterov_flow(loss, lambda t: np.array([[4.0]]), r=3.0)
         out = flow(state_order2([0.0], [1.0], time=1.0))
         assert np.allclose(out.dderivs[1], [-5.0])
 
     def test_positive_r_required(self):
         with pytest.raises(ConfigurationError):
-            accelerated_flow(quadratic_loss(np.eye(1)), lambda t: np.eye(1), r=0.0)
+            nesterov_flow(quadratic_loss(np.eye(1)), lambda t: np.eye(1), r=0.0)
+        with pytest.raises(ConfigurationError):
+            nesterov_flow(quadratic_loss(np.eye(1)), r=0.0)
 
 
 class TestFlowInvariants:
@@ -374,7 +374,7 @@ class TestFlowInvariants:
             gradient_flow(loss),
             adam_stationary_flow(loss),
             newton_flow(loss),
-            preconditioned_flow(mse, lambda t: fisher_matrix(GaussianHead(model), data, t)),
+            gradient_flow(mse, lambda t: fisher_matrix(GaussianHead(model), data, t)),
         ]
         for flow in flows[:3]:
             assert np.linalg.norm(flow(state_order1([0.0, 0.0])).dderivs[0]) <= 1e-8

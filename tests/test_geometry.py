@@ -278,6 +278,12 @@ class TestCatalog:
                 theta = rng.uniform(-2.0, 2.0, 4)
                 assert np.linalg.norm(g.inverse(g.forward(theta)) - theta) <= 1e-10
 
+    @pytest.mark.parametrize("family", ["euclidean", "shear"])
+    def test_degenerate_family_at_dim_one_refused(self, family):
+        # a 1-parameter shear is the identity, a 1x1 rotation a signed permutation
+        with pytest.raises(ConfigurationError, match="dim 1"):
+            sample_diffeomorphism(family, 1, np.random.default_rng(0))
+
     def test_sampler_properties(self):
         rng = np.random.default_rng(11)
         q = random_orthogonal(5, rng)

@@ -18,6 +18,7 @@ from equiflow import (
     compose,
     dataset_loss,
     default_flow_builder,
+    default_recipe,
     expected_verdict,
     fisher_matrix,
     ggn_matrix,
@@ -26,6 +27,7 @@ from equiflow import (
     identity,
     linear_model,
     naturality_residual,
+    nesterov_flow,
     pullback_connection,
     pullback_loss,
     quadratic_loss,
@@ -240,6 +242,31 @@ class TestFlowName:
         flow = FlowBuilder("ggn", dataset_loss(model, data), model=model, data=data).build()
         flow(state_order1([0.3, 0.1]))
         assert flow.metadata["pinv_cutoff_points"] == 1
+
+
+class TestDamping:
+    """A builder's r damps nesterov as it damps nngd and agn."""
+
+    @staticmethod
+    def builder(algorithm):
+        model, data = default_recipe(2, seed=0)
+        return FlowBuilder(algorithm, dataset_loss(model, data), model=model, data=data, r=5.0)
+
+    def test_builder_r_damps_nesterov(self):
+        builder = self.builder("nesterov")
+        state = state_order2([0.3, -0.2], [1.0, 0.5], time=0.8)
+        accel = builder.build()(state).dderivs[1]
+        want = -(5.0 / 0.8) * state.velocity - gradient(builder.loss, state.theta)
+        assert np.array_equal(accel, want)
+
+    def test_nngd_is_nesterov_in_the_fisher_metric(self):
+        builder = self.builder("nngd")
+        head = GaussianHead(builder.model, builder.noise_variance)
+        flow = nesterov_flow(
+            builder.loss, lambda theta: fisher_matrix(head, builder.data, theta), r=5.0
+        )
+        state = state_order2([0.3, -0.2], [1.0, 0.5], time=0.8)
+        assert np.array_equal(builder.build()(state).as_vector(), flow(state).as_vector())
 
 
 class TestClassifyEquivariance:

@@ -17,6 +17,7 @@ from equiflow import (
     trajectory_csv_text,
 )
 from equiflow.harness import FlowBuilder
+from equiflow.integrate import MAX_STEPS
 
 
 class TestIntegrate:
@@ -81,6 +82,8 @@ class TestIntegrate:
             integrate(flow, state_order1([1.0]), 0.1, 0)
         with pytest.raises(ConfigurationError):
             integrate(flow, state_order1([1.0]), 0.1, 5, scheme="heun")
+        with pytest.raises(ConfigurationError, match="100000"):
+            integrate(flow, state_order1([1.0]), 0.1, MAX_STEPS + 1)
 
 
 class TestTrajectoryCsv:
@@ -142,6 +145,19 @@ class TestEquivarianceDrift:
         g = sample_diffeomorphism("shear", 2, np.random.default_rng(7))
         with pytest.raises(ConfigurationError, match=r"h = .*horizon = 1\.0"):
             equivariance_drift(builder, g, state_order1([1.0, 0.5]), [0.1, h], horizon=1.0)
+
+    def test_step_count_above_the_cap_refused_before_integration(self):
+        calls = []
+
+        def value(t):
+            calls.append(1)
+            return t[0] ** 2 + t[1] ** 2
+
+        builder = FlowBuilder("gd", ScalarField(2, value))
+        g = sample_diffeomorphism("shear", 2, np.random.default_rng(7))
+        with pytest.raises(ConfigurationError, match="exceeds MAX_STEPS"):
+            equivariance_drift(builder, g, state_order1([1.0, 0.5]), [0.1, 1e-6])
+        assert calls == []
 
     def test_memory_does_not_grow_with_the_step_count(self):
         # the study reads only each trajectory's final state and keeps no other
