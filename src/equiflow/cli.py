@@ -134,8 +134,8 @@ KEYS = {
     ),
     "h_list": Key(
         [1e-1, 3e-2, 1e-2, 3e-3, 1e-3],
-        _list_of(_is_positive_number, True),
-        "a non-empty list of positive step sizes",
+        lambda v: _list_of(_is_positive_number, True)(v) and len(set(v)) == len(v),
+        "a non-empty list of distinct positive step sizes",
     ),
     "horizon": Key(DRIFT_HORIZON, _is_positive_number, "a positive number"),
     # drift and trajectory; theta0 null: drawn from seed
@@ -278,9 +278,13 @@ def validate(config: dict) -> list[Diagnostic]:
             fatal(f"diffeo family {config['diffeo']['family']!r} needs at least 2 parameters")
     if experiment == "drift" and ok["h_list"] and ok["horizon"]:
         for h in config["h_list"]:
-            # a count that is not finite is equivariance_drift's own error
             count = config["horizon"] / h
-            if math.isfinite(count) and round(count) > MAX_STEPS:
+            if not math.isfinite(count):
+                fatal(
+                    f"step count horizon / h is not finite and positive for h = {h}, "
+                    f"horizon = {config['horizon']}"
+                )
+            elif round(count) > MAX_STEPS:
                 fatal(
                     f"step count horizon / h = {round(count)} exceeds MAX_STEPS = "
                     f"{MAX_STEPS} for h = {h}"

@@ -80,6 +80,12 @@ def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> Fl
 def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> FlowField:
     """dtheta/dxi = -H^-1 grad L with H the Hessian, made covariant,
     H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given."""
+    return _newton_flow(loss, connection, lambda system: system)
+
+
+def _newton_flow(loss: ScalarField, connection: Optional[Connection], share) -> FlowField:
+    # `share` wraps theta -> (gradient, matrix); a FlowBuilder passes its
+    # per-chart memo, so the pre-check and the flow share one order-2 pass
 
     def system(theta):
         # (gradient, the matrix Newton's flow inverts) from one order-2 pass
@@ -88,6 +94,8 @@ def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> F
             gamma = connection.christoffel_at(theta)
             hess = hess - np.einsum("kij,k->ij", gamma, grad)
         return grad, hess
+
+    system = share(system)
 
     def velocity(state):
         grad, hess = system(state.theta)

@@ -8,8 +8,9 @@ naturality residual compares the pushed-forward flow value against the
 intrinsic barred flow value; classification runs seeded trials per
 reparameterization family and demands a crisp verdict.  Each sampled state
 first passes a conditioning pre-check on the matrix the flow inverts in both
-charts; for the Fisher and GGN forms, the pre-check and the flow evaluation
-that follows share one evaluation of the form per state and chart.
+charts; the pre-check and the flow evaluation that follows share one
+evaluation of that matrix per state and chart, whether it is a Fisher, GGN,
+Hessian or covariant Hessian.
 
 All randomness flows from one integer seed: every trial uses a PCG64
 generator seeded with SeedSequence([seed, dim, algorithm_index,
@@ -31,12 +32,12 @@ from .flows import (
     ADAM_EPSILON,
     NESTEROV_DAMPING,
     FlowField,
+    _newton_flow,
     adam_stationary_flow,
     fisher_matrix,
     ggn_matrix,
     gradient_flow,
     nesterov_flow,
-    newton_flow,
 )
 from .geometry import (
     FAMILIES,
@@ -117,12 +118,13 @@ class FlowBuilder:
     diffeomorphism yields the flow computed intrinsically in the barred
     chart.  Building is deterministic, so repeated builds are identical.
 
-    The builder keeps the last Fisher or GGN form it computed in the base
-    chart and in the most recent barred chart (matched by identity), with
-    the bits of the theta it was computed at.  Asked again at that theta in
-    that chart, as the flow is right after the conditioning pre-check, it
-    returns the same read-only array: one form evaluation per state and
-    chart.
+    The builder keeps the last matrix its flow inverts, computed in the
+    base chart and in the most recent barred chart (matched by identity),
+    with the bits of the theta it was computed at: the Fisher or GGN form,
+    or Newton's gradient with its Hessian or covariant Hessian.  Asked again
+    at that theta in that chart, as the flow is right after the
+    conditioning pre-check, it returns the same read-only arrays: one
+    evaluation per state and chart.
     """
 
     algorithm: str
@@ -132,8 +134,8 @@ class FlowBuilder:
     noise_variance: float = 0.5
     r: float = NESTEROV_DAMPING
     epsilon: float = ADAM_EPSILON
-    # (reparam is None) -> (reparam, theta bytes, form) of that chart's last form
-    _forms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # (reparam is None) -> (reparam, theta bytes, value) of that chart's last value
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -158,19 +160,26 @@ class FlowBuilder:
         else:
             weight = np.eye(self.model.out_dim)
             form_at = lambda theta: ggn_matrix(self.model, self.data, weight, theta, chart)
+        shared = self._shared(reparam, lambda theta: (form_at(theta),))
+        return lambda theta: shared(theta)[0]
+
+    def _shared(self, reparam: Optional[Diffeomorphism], compute):
+        # theta -> compute(theta), a tuple of arrays, kept read-only in this
+        # chart's slot until another theta or chart asks
         slot = reparam is None
 
-        def precondition(theta):
+        def shared(theta):
             key = np.asarray(theta, dtype=float).tobytes()
-            last = self._forms.get(slot)
+            last = self._memo.get(slot)
             if last is not None and last[0] is reparam and last[1] == key:
                 return last[2]
-            form = form_at(theta)
-            form.setflags(write=False)
-            self._forms[slot] = (reparam, key, form)
-            return form
+            value = compute(theta)
+            for array in value:
+                array.setflags(write=False)
+            self._memo[slot] = (reparam, key, value)
+            return value
 
-        return precondition
+        return shared
 
     def _connection(self, reparam: Optional[Diffeomorphism]):
         # The flat base-chart connection is implicit (Gamma = 0); only the
@@ -188,10 +197,9 @@ class FlowBuilder:
         alg = self.algorithm
         if alg == "adam":
             return adam_stationary_flow(loss, epsilon=self.epsilon)
-        if alg == "newton":
-            return newton_flow(loss)
-        if alg == "newton-covariant":
-            return newton_flow(loss, connection=self._connection(reparam))
+        if alg in ("newton", "newton-covariant"):
+            connection = self._connection(reparam) if alg == "newton-covariant" else None
+            return _newton_flow(loss, connection, partial(self._shared, reparam))
         # gradient or Nesterov flow, in the Fisher or GGN metric when natural
         natural = alg in _NEEDS_MODEL
         metric = self._precondition_fn(reparam) if natural else None

@@ -145,13 +145,13 @@ def equivariance_drift(
     Integrates the base-chart flow from `start` and the intrinsically built
     barred flow from the pushed-forward start over a fixed horizon, then
     measures the final-state mismatch in the barred chart.  The per-step
-    count is horizon/h, so a p-th order scheme shows slope ~ p; an h for
-    which that count is not finite or exceeds `MAX_STEPS` raises
-    `ConfigurationError` before any integration.
+    count is horizon/h, so a p-th order scheme shows slope ~ p; an h that
+    repeats an earlier one, or for which that count is not finite or exceeds
+    `MAX_STEPS`, raises `ConfigurationError` before any integration.
     """
     if horizon <= 0.0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
-    for h in h_list:
+    for i, h in enumerate(h_list):
         if not (h > 0.0 and math.isfinite(horizon / h)):
             raise ConfigurationError(
                 f"step count horizon / h is not finite and positive for h = {h}, "
@@ -161,6 +161,10 @@ def equivariance_drift(
             raise ConfigurationError(
                 f"step count horizon / h = {round(horizon / h)} exceeds MAX_STEPS = "
                 f"{MAX_STEPS} for h = {h}, horizon = {horizon}"
+            )
+        if h in h_list[:i]:
+            raise ConfigurationError(
+                f"step size h = {h} is repeated; the slope fit needs distinct step sizes"
             )
     base_flow = flow_builder.build()
     barred_flow = flow_builder.build(g)

@@ -90,14 +90,37 @@ class TestValidate:
             {"experiment": "trajectory", "steps": 1000000000},
             {"experiment": "table", "dims": [1]},
             {"experiment": "drift", "dims": [1], "diffeo": {"family": "euclidean"}},
+            {"experiment": "drift", "dims": [2], "h_list": [1e-320]},
         ],
-        ids=["drift-steps", "trajectory-steps", "one-parameter-table", "one-parameter-drift"],
+        ids=[
+            "drift-steps",
+            "trajectory-steps",
+            "one-parameter-table",
+            "one-parameter-drift",
+            "drift-steps-not-finite",
+        ],
     )
     def test_runs_that_cannot_finish_or_decide_are_fatal(self, tmp_path, config):
         out = tmp_path / "out"
         path = write_config(tmp_path, algorithms=["ngd"], out_dir=str(out), **config)
         diags = cli.validate(cli.load_config(path))
         assert [d.severity for d in diags] == ["fatal"]
+        assert cli.main(["run", str(path)]) == 2
+        assert not out.exists()
+
+    def test_repeated_step_size_is_fatal(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            experiment="drift",
+            algorithms=["gd"],
+            dims=[2],
+            h_list=[0.1, 0.1],
+            out_dir=str(out),
+        )
+        diags = cli.validate(cli.load_config(path))
+        assert [d.severity for d in diags] == ["fatal"]
+        assert diags[0].message.startswith("h_list must be a non-empty list of distinct")
         assert cli.main(["run", str(path)]) == 2
         assert not out.exists()
 
@@ -549,7 +572,7 @@ class TestRun:
             out_dir=str(out),
         )
         assert cli.main(["run", str(path)]) == 2
-        assert "error: step count horizon / h is not finite" in capsys.readouterr().err
+        assert "fatal: step count horizon / h is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import equiflow.diffcalc
 import equiflow.flows
 import equiflow.harness
 from equiflow import (
@@ -23,11 +24,13 @@ from equiflow import (
     fisher_matrix,
     ggn_matrix,
     gradient,
+    gradient_and_hessian,
     hessian,
     identity,
     linear_model,
     naturality_residual,
     nesterov_flow,
+    newton_flow,
     pullback_connection,
     pullback_loss,
     quadratic_loss,
@@ -217,6 +220,73 @@ class TestSharedForm:
         form = builder.inverted_matrix_fn(None)(np.array([0.3, -0.2]))
         with pytest.raises(ValueError):
             form[0, 0] = 1.0
+
+
+class TestSharedNewtonSystem:
+    """The pre-check and the flow share one gradient-and-Hessian pass per state and chart."""
+
+    @staticmethod
+    def count_passes(monkeypatch) -> list:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gradient_and_hessian(*args, **kwargs)
+
+        monkeypatch.setattr(equiflow.diffcalc, "gradient_and_hessian", counted)
+        return calls
+
+    @staticmethod
+    def fresh(builder, theta, g):
+        loss = builder.loss if g is None else pullback_loss(g, builder.loss)
+        covariant = builder.algorithm == "newton-covariant" and g is not None
+        connection = pullback_connection(g) if covariant else None
+        return newton_flow(loss, connection=connection).inverts(theta)
+
+    @pytest.mark.parametrize("algorithm", ["newton", "newton-covariant"])
+    def test_one_pass_per_state_and_chart(self, algorithm, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        builder = default_flow_builder(algorithm, 2, seed=0)
+        classify_equivariance(
+            builder, families=("shear",), trials_per_family=1, states_per_trial=2, seed=0
+        )
+        assert len(calls) == 2 * 2  # (base + barred) x states
+
+    @pytest.mark.parametrize("algorithm", ["newton", "newton-covariant"])
+    def test_new_point_chart_or_builder_recomputes(self, algorithm, monkeypatch):
+        builder = default_flow_builder(algorithm, 2, seed=0)
+        rng = np.random.default_rng(9)
+        g, other = (sample_diffeomorphism("shear", 2, rng) for _ in range(2))
+        theta, moved = np.array([0.3, -0.2]), np.array([0.5, 0.1])
+        asks = [
+            (builder, moved, g),  # a different theta
+            (builder, moved, other),  # a different chart object at the same theta
+            (default_flow_builder(algorithm, 2, seed=0), moved, other),  # a second builder
+        ]
+        wants = [self.fresh(owner, point, chart) for owner, point, chart in asks]
+
+        calls = self.count_passes(monkeypatch)
+        first = builder.inverted_matrix_fn(g)(theta)
+        assert builder.build(g).inverts(theta) is first and len(calls) == 1
+        for count, (owner, point, chart), want in zip((2, 3, 4), asks, wants):
+            assert np.array_equal(owner.inverted_matrix_fn(chart)(point), want)
+            assert len(calls) == count
+
+    def test_shared_gradient_and_matrix_are_read_only(self, monkeypatch):
+        kept = []
+
+        def keep(*args, **kwargs):
+            kept.append(gradient_and_hessian(*args, **kwargs))
+            return kept[-1]
+
+        monkeypatch.setattr(equiflow.diffcalc, "gradient_and_hessian", keep)
+        builder = default_flow_builder("newton", 2, seed=0)
+        matrix = builder.inverted_matrix_fn(None)(np.array([0.3, -0.2]))
+        [(grad, hess)] = kept
+        assert hess is matrix
+        for array in (grad, matrix):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestFlowName:

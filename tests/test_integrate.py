@@ -159,6 +159,20 @@ class TestEquivarianceDrift:
             equivariance_drift(builder, g, state_order1([1.0, 0.5]), [0.1, 1e-6])
         assert calls == []
 
+    def test_repeated_step_size_refused_before_integration(self):
+        # every log h equal would leave the slope fit nothing to fit
+        calls = []
+
+        def value(t):
+            calls.append(1)
+            return t[0] ** 2 + t[1] ** 2
+
+        builder = FlowBuilder("gd", ScalarField(2, value))
+        g = sample_diffeomorphism("shear", 2, np.random.default_rng(7))
+        with pytest.raises(ConfigurationError, match=r"h = 0\.1 is repeated"):
+            equivariance_drift(builder, g, state_order1([1.0, 0.5]), [0.1, 0.01, 0.1])
+        assert calls == []
+
     def test_memory_does_not_grow_with_the_step_count(self):
         # the study reads only each trajectory's final state and keeps no other
         builder = FlowBuilder("gd", quadratic_loss(np.array([[2.0, 1.0], [1.0, 3.0]])))
