@@ -39,8 +39,6 @@ from .geometry import (
     affine_diffeomorphism,
     catalog,
     compose,
-    identity,
-    invert,
     naturalizer_membership,
     pullback_connection,
     pullback_loss,

@@ -4,7 +4,8 @@ A config is a single JSON file; command-line flags override file values,
 which override the built-in defaults.  Reports are staged beside their
 targets and renamed into place only after every one is written, so a failed
 run leaves no partial files, and they contain no timestamps, so identical
-config+seed runs are byte-identical.
+config+seed runs are byte-identical.  `report.json` is strict JSON: a drift
+slope that the fit leaves undefined (NaN) is written as `null`.
 
 `KEYS` declares every config key once: its default (naming the library value
 wherever the library has one), the experiments that read it, and the check
@@ -423,16 +424,20 @@ def _run_drift(config: dict):
                 "dim": dim,
                 "family": diffeo_cfg["family"],
                 "scheme": drift.scheme,
-                "slope": drift.slope,
+                "slope": drift.slope if math.isfinite(drift.slope) else None,
                 "points": [[h, d] for h, d in drift.points],
                 "diverged": list(drift.diverged),
             }
         )
         rows = ["h,defect"] + [f"{h!r},{d!r}" for h, d in drift.points]
         csvs[f"drift_{algorithm}.csv"] = "\n".join(rows) + "\n"
+        if math.isfinite(drift.slope):
+            slope = f"slope {drift.slope:.3f}"
+        else:
+            slope = "slope undefined (fewer than two defects are nonzero)"
         text_lines.append(
             f"{algorithm} under {diffeo_cfg['family']} ({drift.scheme}): "
-            f"slope {drift.slope:.3f} over {len(drift.points)} step sizes"
+            f"{slope} over {len(drift.points)} step sizes"
             + (f", diverged at h in {list(drift.diverged)}" if drift.diverged else "")
         )
     report = {"experiment": "drift", "results": results}

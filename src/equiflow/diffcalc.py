@@ -14,6 +14,14 @@ and `jacobian_and_second_derivatives` return both orders from one pass;
 `jacobian` keep their cheaper order-1 pass.  Order-2 seeds carry the scalar
 zero Hessian `0.0` (see `Dual2`); every output Hessian is an (n, n) array.
 
+An affine map carries its matrix (`VectorMap.matrix`).  For such a map
+`jacobian`, `jacobian_and_second_derivatives` and `second_derivatives` read the
+Jacobian and the all-zero second derivatives off the matrix and never call
+`fn`.  The result equals the dual pass bit for bit, signs of zero included:
+that pass sums signed zeros along each row, so row k's zeros (in J and in all
+of D[k]) are -0.0 exactly when every entry of row k has its sign bit set.
+Chart passes, composites and shears carry no matrix and stay on `Dual2`.
+
 Everything here assumes dense linear algebra and parameter dimension at most
 `DIM_CAP`.
 """
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -221,18 +229,35 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorMap:
-    """A componentwise twice-differentiable map R^in_dim -> R^out_dim."""
+    """A componentwise twice-differentiable map R^in_dim -> R^out_dim.
+
+    An affine map theta -> matrix @ theta + c carries `matrix`, its constant
+    (out_dim, in_dim) Jacobian, kept read-only.  The engine then reads J =
+    matrix and D = 0 off it without calling `fn`, each row's zeros signed as
+    the dual pass signs them: -0.0 when every entry of that row has its sign
+    bit set.
+    """
 
     in_dim: int
     out_dim: int
     fn: Callable
     name: str = ""
+    matrix: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.in_dim <= DIM_CAP or not 1 <= self.out_dim <= DIM_CAP:
             raise ConfigurationError(
                 f"dimension cap exceeded: {self.in_dim}x{self.out_dim}"
             )
+        if self.matrix is not None:
+            matrix = np.array(self.matrix, dtype=float)
+            if matrix.shape != (self.out_dim, self.in_dim) or not np.all(np.isfinite(matrix)):
+                raise ConfigurationError(
+                    f"{self.name or 'vector map'} matrix must be finite with shape "
+                    f"({self.out_dim}, {self.in_dim}), got shape {matrix.shape}"
+                )
+            matrix.setflags(write=False)
+            object.__setattr__(self, "matrix", matrix)
 
     def value(self, theta) -> np.ndarray:
         out = np.asarray(self.fn(np.asarray(theta, dtype=float)), dtype=float)
@@ -304,8 +329,18 @@ def hessian(f: ScalarField, theta) -> np.ndarray:
     return gradient_and_hessian(f, theta)[1]
 
 
+def _affine_parts(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J, D) of an affine map with this matrix, with the dual pass's signed
+    zeros (see the module docstring)."""
+    z = np.where(np.signbit(matrix).all(axis=1), -0.0, 0.0)
+    n = matrix.shape[1]
+    return matrix + z[:, None], z[:, None, None] * np.ones((n, n))
+
+
 def jacobian(m: VectorMap, theta) -> np.ndarray:
     """(out_dim, in_dim) matrix of first partials of `m` at `theta`."""
+    if m.matrix is not None:
+        return _affine_parts(m.matrix)[0]
     out = m.fn(seed_duals(theta, order=1))
     return jacobian_rows(out, m.in_dim, m.out_dim, m.name or "map", theta)
 
@@ -326,6 +361,8 @@ def jacobian_rows(out, in_dim: int, out_dim: int, name: str, theta) -> np.ndarra
 def jacobian_and_second_derivatives(m: VectorMap, theta) -> tuple[np.ndarray, np.ndarray]:
     """(`jacobian`, `second_derivatives`) of `m` at `theta` from one order-2
     pass; the Jacobian equals `jacobian(m, theta)` bit for bit."""
+    if m.matrix is not None:
+        return _affine_parts(m.matrix)
     out = m.fn(seed_duals(theta, order=2))
     jac = jacobian_rows(out, m.in_dim, m.out_dim, m.name or "map", theta)
     return jac, _second_derivative_blocks(out, m, theta)
@@ -336,6 +373,8 @@ def second_derivatives(m: VectorMap, theta) -> np.ndarray:
 
     Each D[l] is exactly symmetric.
     """
+    if m.matrix is not None:
+        return _affine_parts(m.matrix)[1]
     return _second_derivative_blocks(m.fn(seed_duals(theta, order=2)), m, theta)
 
 

@@ -4,8 +4,12 @@ The diffeomorphism catalog covers the five families the laboratory classifies
 against: translations, Euclidean motions, signed permutations with shifts,
 general affine maps, and triangular shears.  Shears are the only nonlinear
 family; their triangular structure gives an exact forward-substitution
-inverse and a unit-determinant Jacobian.  Models are not pulled back here:
-`flows.ggn_matrix` takes a diffeomorphism's `inverse_map` as its chart.
+inverse and a unit-determinant Jacobian.  The other four are affine:
+`affine_diffeomorphism` sets `VectorMap.matrix` to A on the forward map and to
+A^-1 on the inverse map, so `diffcalc` reads their Jacobians and zero second
+derivatives off the matrix instead of running a dual pass.  Models are not
+pulled back here: `flows.ggn_matrix` takes a diffeomorphism's `inverse_map` as
+its chart.
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ class Diffeomorphism:
 
 def affine_diffeomorphism(matrix, shift=None, family="affine", label="") -> Diffeomorphism:
     """theta_bar = A theta + c with the exact inverse A^-1 (theta_bar - c)."""
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.array(matrix, dtype=float)
     n = matrix.shape[0]
     shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
     if matrix.shape != (n, n) or shift.shape != (n,):
@@ -166,18 +170,18 @@ def affine_diffeomorphism(matrix, shift=None, family="affine", label="") -> Diff
         raise SingularMatrixError("affine matrix is numerically singular")
     inv = np.linalg.inv(matrix)
 
-    fwd = VectorMap(n, n, lambda theta: matrix @ np.asarray(theta) + shift, name="affine")
-    bwd = VectorMap(n, n, lambda tbar: inv @ (np.asarray(tbar) - shift), name="affine^-1")
+    fwd = VectorMap(
+        n, n, lambda theta: matrix @ np.asarray(theta) + shift, name="affine", matrix=matrix
+    )
+    bwd = VectorMap(
+        n, n, lambda tbar: inv @ (np.asarray(tbar) - shift), name="affine^-1", matrix=inv
+    )
     return Diffeomorphism(family, fwd, bwd, label or family)
 
 
 def translation(shift) -> Diffeomorphism:
     shift = np.asarray(shift, dtype=float)
     return affine_diffeomorphism(np.eye(shift.shape[0]), shift, family="translation")
-
-
-def identity(dim: int) -> Diffeomorphism:
-    return affine_diffeomorphism(np.eye(dim), family="translation", label="identity")
 
 
 def shear_diffeomorphism(coeffs, func: str = "sin", label="") -> Diffeomorphism:
@@ -221,13 +225,6 @@ def shear_diffeomorphism(coeffs, func: str = "sin", label="") -> Diffeomorphism:
         VectorMap(n, n, fwd, name="shear"),
         VectorMap(n, n, bwd, name="shear^-1"),
         label or f"shear[{func}]",
-    )
-
-
-def invert(g: Diffeomorphism) -> Diffeomorphism:
-    """The inverse diffeomorphism (forward and inverse maps swapped)."""
-    return Diffeomorphism(
-        g.family, g.inverse_map, g.forward_map, label=f"{g.label or g.family}^-1"
     )
 
 

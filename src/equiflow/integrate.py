@@ -129,7 +129,7 @@ class DriftResult:
     scheme: str
     points: tuple  # (h, defect) for completed integrations
     diverged: tuple  # h values excluded from the fit
-    slope: float
+    slope: float  # NaN when fewer than two defects are nonzero
 
 
 def equivariance_drift(

@@ -6,9 +6,11 @@ import pytest
 from equiflow import (
     Connection,
     Dataset,
+    Diffeomorphism,
     Model,
     ScalarField,
     VectorMap,
+    affine_diffeomorphism,
     dataset_loss,
     default_recipe,
     jacobian,
@@ -18,6 +20,18 @@ from equiflow import (
     quadratic_loss,
     shear_diffeomorphism,
 )
+
+
+def identity(dim):
+    """The identity map, as a translation."""
+    return affine_diffeomorphism(np.eye(dim), family="translation", label="identity")
+
+
+def invert(g):
+    """The inverse diffeomorphism (forward and inverse maps swapped)."""
+    return Diffeomorphism(
+        g.family, g.inverse_map, g.forward_map, label=f"{g.label or g.family}^-1"
+    )
 
 
 def canonical_shear(beta, dim=2, func="sin"):

@@ -391,6 +391,34 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert "slope" in report["results"][0]
 
+    def test_undefined_drift_slope_is_strict_json_null(self, tmp_path):
+        # newton is equivariant under a translation: at most one defect is nonzero
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            experiment="drift",
+            dims=[2],
+            algorithms=["gd", "newton"],
+            diffeo={"family": "translation", "seed": 1},
+            h_list=[0.1, 0.01],
+            out_dir=str(out),
+        )
+        assert cli.main(["run", str(path)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"report.json holds {name}, which is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        newton = report["results"][1]
+        assert newton["algorithm"] == "newton"
+        assert len(newton["points"]) == 2
+        assert sum(d > 0.0 for _, d in newton["points"]) < 2
+        assert newton["slope"] is None
+        assert isinstance(report["results"][0]["slope"], float)
+        text = (out / "report.txt").read_text().splitlines()
+        assert "slope undefined (fewer than two defects are nonzero)" in text[1]
+        assert "nan" not in text[1]
+
     def test_trajectory_run_outputs(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(

@@ -5,9 +5,13 @@ import pytest
 
 from equiflow import (
     FAMILIES,
+    ConfigurationError,
     EvaluationDomainError,
     ScalarField,
     VectorMap,
+    affine_diffeomorphism,
+    catalog,
+    compose,
     dataset_loss,
     default_recipe,
     fd_gradient,
@@ -22,8 +26,8 @@ from equiflow import (
     sample_diffeomorphism,
     second_derivatives,
 )
-from equiflow.diffcalc import Dual2
-from conftest import tanh_unit_loss
+from equiflow.diffcalc import Dual2, seed_duals
+from conftest import counting, tanh_unit_loss
 
 
 def rel_err(got, want, floor=1e-8):
@@ -234,3 +238,104 @@ class TestScalarZeroIsBitIdentical:
             assert_same_bits(second_derivatives(m, theta), want_d2)
             if family != "shear":
                 assert np.array_equal(d2, np.zeros((dim, dim, dim)))
+
+
+# -- an affine map carries its matrix: derivatives without a dual pass -------
+
+AFFINE_FAMILIES = [family for family in FAMILIES if family != "shear"]
+
+
+def derivatives(m, theta):
+    """Every derivative the engine gives for `m` at `theta`."""
+    jac, d2 = jacobian_and_second_derivatives(m, theta)
+    return jacobian(m, theta), jac, d2, second_derivatives(m, theta)
+
+
+def dual_pass(m, theta):
+    """(J, D) read off `m.fn` on order-2 seeds, as the engine's dual pass does."""
+    out = np.asarray(m.fn(seed_duals(theta, 2)), dtype=object).reshape(m.out_dim)
+    jac = np.stack([comp.g for comp in out])
+    n = m.in_dim
+    d2 = np.stack([symmetrized(np.full((n, n), comp.h)) for comp in out])
+    return jac, d2
+
+
+SIGNED_PERMUTATION = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
+
+
+class TestAffineMapCarriesItsMatrix:
+    @pytest.mark.parametrize("family", AFFINE_FAMILIES)
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_no_dual_pass(self, family, dim):
+        g = catalog(family, dim, seed=3)
+        theta = np.linspace(-1.0, 1.0, dim)
+        for m in (g.forward_map, g.inverse_map):
+            counted, calls = counting(m)
+            derivatives(counted, theta)
+            assert calls == []
+
+    def test_shear_and_composite_still_run_the_dual_pass(self):
+        theta = np.array([0.3, -0.7])
+        affine = catalog("affine", 2, seed=3)
+        for g in (catalog("shear", 2, seed=3), compose(affine, catalog("euclidean", 2, seed=3))):
+            for m in (g.forward_map, g.inverse_map):
+                assert m.matrix is None
+                counted, calls = counting(m)
+                derivatives(counted, theta)
+                assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[-1.0, -2.0], [3.0, -4.0]],
+            [[-1.0, -0.0], [-0.0, 2.0]],
+            [[-2.0]],
+            np.linalg.inv(SIGNED_PERMUTATION),
+        ],
+        ids=["negative-row", "negative-zero", "scalar", "inverse-signed-permutation"],
+    )
+    def test_matches_the_dual_pass_bit_for_bit(self, matrix):
+        matrix = np.asarray(matrix)
+        n = matrix.shape[0]
+        g = affine_diffeomorphism(matrix, np.linspace(-0.5, 0.5, n))
+        theta = np.linspace(-0.7, 0.9, n)
+        for m in (g.forward_map, g.inverse_map):
+            want_jac, want_d2 = dual_pass(m, theta)
+            got_jac, jac, d2, got_d2 = derivatives(m, theta)
+            for got in (got_jac, jac):
+                assert_same_bits(got, want_jac)
+            for got in (d2, got_d2):
+                assert_same_bits(got, want_d2)
+
+    def test_rectangular_matrix_matches_the_dual_pass(self):
+        matrix = np.array([[-1.0, -0.0, -3.0], [0.0, -2.0, 1.0]])
+        m = VectorMap(3, 2, lambda t: matrix @ np.asarray(t), matrix=matrix)
+        theta = np.array([0.2, -0.4, 0.6])
+        want_jac, want_d2 = dual_pass(m, theta)
+        got_jac, jac, d2, got_d2 = derivatives(m, theta)
+        assert_same_bits(got_jac, want_jac)
+        assert_same_bits(d2, want_d2)
+        assert np.signbit(d2[0]).all() and not np.signbit(d2[1]).any()
+
+    def test_returned_arrays_are_fresh(self):
+        g = catalog("affine", 2, seed=3)
+        jac = jacobian(g.forward_map, [0.0, 0.0])
+        jac[0, 0] = 99.0
+        assert jacobian(g.forward_map, [0.0, 0.0])[0, 0] != 99.0
+        with pytest.raises(ValueError):
+            g.forward_map.matrix[0, 0] = 99.0
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, np.nan], [0.0, 1.0]],
+            [[1.0, np.inf], [0.0, 1.0]],
+            [[1.0, 0.0]],
+            np.eye(3),
+            [1.0, 0.0],
+        ],
+        ids=["nan", "inf", "too-few-rows", "too-large", "flat"],
+    )
+    def test_rejects_a_matrix_that_is_not_finite_or_misshapen(self, matrix):
+        with pytest.raises(ConfigurationError):
+            VectorMap(2, 2, lambda t: t, matrix=matrix)

@@ -10,9 +10,7 @@ from equiflow import (
     catalog,
     compose,
     gradient,
-    identity,
     integrate,
-    invert,
     jacobian,
     naturalizer_membership,
     nesterov_flow,
@@ -32,7 +30,7 @@ from equiflow.geometry import (
     random_orthogonal,
     random_signed_permutation,
 )
-from conftest import canonical_shear, counting, transform_bilinear
+from conftest import canonical_shear, counting, identity, invert, transform_bilinear
 
 
 def rotation2d(angle):

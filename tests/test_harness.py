@@ -26,7 +26,6 @@ from equiflow import (
     gradient,
     gradient_and_hessian,
     hessian,
-    identity,
     linear_model,
     naturality_residual,
     nesterov_flow,
@@ -41,6 +40,7 @@ from equiflow import (
     state_order1,
     state_order2,
 )
+from conftest import identity
 
 
 class TestNaturalityResidual:

@@ -23,7 +23,6 @@ from equiflow import (
     compose,
     fd_jacobian,
     ggn_matrix,
-    invert,
     jacobian,
     linear_model,
     mlp_tanh,
@@ -32,7 +31,7 @@ from equiflow import (
     sample_diffeomorphism,
     second_derivatives,
 )
-from conftest import transform_bilinear
+from conftest import invert, transform_bilinear
 
 LAWS = settings(derandomize=True, deadline=None, max_examples=8)
 EVERY_FAMILY = pytest.mark.parametrize("family", FAMILIES)
