@@ -39,7 +39,6 @@ from .geometry import (
     affine_diffeomorphism,
     catalog,
     compose,
-    naturalizer_membership,
     pullback_connection,
     pullback_loss,
     pushforward_state,

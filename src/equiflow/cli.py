@@ -9,7 +9,9 @@ slope that the fit leaves undefined (NaN) is written as `null`.
 
 `KEYS` declares every config key once: its default (naming the library value
 wherever the library has one), the experiments that read it, and the check
-`validate` runs on it.
+`validate` runs on it.  Past those checks `validate` runs the library's own
+refusal rules (step counts, one-parameter families, dataset dims, tolerance
+ordering), so a refused config reads the message the library would raise.
 
 Every experiment builds its flows through one problem path, `_problem`.
 """
@@ -30,7 +32,7 @@ import numpy as np
 from .diffcalc import DIM_CAP
 from .errors import ConfigurationError, EquiflowError
 from .flows import XI_MIN
-from .geometry import FAMILIES, catalog, state_order1, state_order2
+from .geometry import FAMILIES, catalog, check_family_dim, state_order1, state_order2
 from .harness import (
     ALGORITHMS,
     EQUIVARIANCE_TOLERANCE,
@@ -39,6 +41,7 @@ from .harness import (
     TRIALS_PER_FAMILY,
     VIOLATION_THRESHOLD,
     FlowBuilder,
+    check_thresholds,
     default_recipe,
     expected_verdict,
     render_reports_text,
@@ -49,13 +52,15 @@ from .harness import (
 from .integrate import (
     DEFAULT_SCHEME,
     DRIFT_HORIZON,
-    MAX_STEPS,
+    MAX_STEPS,  # re-exported: the step cap drift and trajectory configs meet
     SCHEMES,
+    check_step_count,
+    drift_step_counts,
     equivariance_drift,
     integrate,
     trajectory_csv_text,
 )
-from .models import dataset_loss, linear_model, load_dataset, mlp_tanh
+from .models import check_dataset_dims, dataset_loss, linear_model, load_dataset, mlp_tanh
 
 EXPERIMENTS = ("classify", "table", "drift", "trajectory")
 
@@ -157,9 +162,6 @@ _FIELDS = {
     "mlp-tanh": ("kind", "in_dim", "hidden", "out_dim", "bias"),
 }
 
-# At one parameter a shear is the identity and every rotation a signed permutation.
-_NEED_TWO_PARAMETERS = ("euclidean", "shear")
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -189,11 +191,21 @@ def validate(config: dict) -> list[Diagnostic]:
 
     Every key's value is judged by its `KEYS` check; the rules after that
     span keys or need a message of their own, and read only values that
-    passed their check.
+    passed their check.  A rule the library enforces too is not restated here:
+    `refused` runs the library's own check and turns its `ConfigurationError`
+    into one fatal carrying the message the library entry point would raise.
     """
     out: list[Diagnostic] = []
     fatal = lambda msg: out.append(Diagnostic("fatal", msg))
     warn = lambda msg: out.append(Diagnostic("warning", msg))
+
+    def refused(check: Callable, *args) -> bool:
+        try:
+            check(*args)
+        except ConfigurationError as exc:
+            fatal(str(exc))
+            return True
+        return False
 
     def unknown_fields(name: str, obj: dict, kind: str):
         for key in obj:
@@ -212,9 +224,8 @@ def validate(config: dict) -> list[Diagnostic]:
     for entry in dims:
         if entry > DIM_CAP:
             fatal(f"dims entry {entry} exceeds the dimension cap DIM_CAP = {DIM_CAP}")
-    tol, threshold = config.get("tolerance"), config.get("violation_threshold")
-    if ok["tolerance"] and ok["violation_threshold"] and tol >= threshold:
-        fatal(f"tolerance {tol} must be strictly below the violation threshold {threshold}")
+    if ok["tolerance"] and ok["violation_threshold"]:
+        refused(check_thresholds, config["tolerance"], config["violation_threshold"])
     if ok["trials"] and config["trials"] == 1:
         warn("single-trial runs give verdicts from one sampled reparameterization")
     if ok["diffeo"]:
@@ -248,11 +259,7 @@ def validate(config: dict) -> list[Diagnostic]:
             if not _is_count(value):
                 fatal(f"dataset {key} must be a positive integer, got {value!r}")
         if model is not None and all(map(_is_count, sizes)):
-            if sizes != [model.in_dim, model.out_dim]:
-                fatal(
-                    f"dataset dims {sizes[0]}->{sizes[1]} do not match model dims "
-                    f"{model.in_dim}->{model.out_dim}"
-                )
+            refused(check_dataset_dims, model, *sizes)
         if not isinstance(path, str):
             fatal(f"dataset path must be a string, got {path!r}")
         elif not Path(path).exists():
@@ -270,29 +277,36 @@ def validate(config: dict) -> list[Diagnostic]:
             fatal(f"theta0 has length {len(theta0)}, expected {dim}")
 
     param_counts = dims if model_cfg is None else [dim] if dim else []
-    if experiment in ("table", "classify") and 1 in param_counts and ok["families"]:
-        degenerate = [f for f in config["families"] if f in _NEED_TWO_PARAMETERS]
-        if degenerate:
-            fatal(f"families {degenerate} need at least 2 parameters; the dims include 1")
-    if experiment == "drift" and ok["diffeo"] and dim == 1:
-        if config["diffeo"]["family"] in _NEED_TWO_PARAMETERS:
-            fatal(f"diffeo family {config['diffeo']['family']!r} needs at least 2 parameters")
+    if experiment in ("table", "classify") and ok["families"]:
+        # the first refused (dim, family) pair, as the table run would meet it
+        any(refused(check_family_dim, f, n) for n in param_counts for f in config["families"])
+    if experiment == "drift" and ok["diffeo"] and dim:
+        refused(check_family_dim, config["diffeo"]["family"], dim)
     if experiment == "drift" and ok["h_list"] and ok["horizon"]:
-        for h in config["h_list"]:
-            count = config["horizon"] / h
-            if not math.isfinite(count):
-                fatal(
-                    f"step count horizon / h is not finite and positive for h = {h}, "
-                    f"horizon = {config['horizon']}"
-                )
-            elif round(count) > MAX_STEPS:
-                fatal(
-                    f"step count horizon / h = {round(count)} exceeds MAX_STEPS = "
-                    f"{MAX_STEPS} for h = {h}"
-                )
-    if experiment == "trajectory" and ok["steps"] and config["steps"] > MAX_STEPS:
-        fatal(f"trajectory steps {config['steps']} exceed MAX_STEPS = {MAX_STEPS}")
+        refused(drift_step_counts, config["h_list"], config["horizon"])
+    if experiment == "trajectory" and ok["steps"]:
+        refused(check_step_count, config["steps"])
     return out
+
+
+def diagnose(config: dict) -> list[Diagnostic]:
+    """`validate`'s diagnostics and, for a drift config with no fatal one, a
+    warning per step size whose step count misses the horizon by more than
+    1e-9 relative, naming the flow time the run reaches instead.
+
+    These warnings describe the run, not the config, so they stay out of
+    `validate`'s list; `run` and the `validate` command print this one.
+    """
+    diagnostics = validate(config)
+    if any(d.severity == "fatal" for d in diagnostics) or config["experiment"] != "drift":
+        return diagnostics
+    h_list, horizon = config["h_list"], config["horizon"]
+    for h, steps in zip(h_list, drift_step_counts(h_list, horizon)):
+        reached = steps * h
+        if abs(reached - horizon) > 1e-9 * horizon:
+            message = f"h = {h}: step count {steps} reaches flow time {reached:.6g}"
+            diagnostics.append(Diagnostic("warning", f"{message}, not the horizon {horizon}"))
+    return diagnostics
 
 
 def _build_model(recipe: dict):
@@ -498,7 +512,7 @@ def run(config: dict) -> int:
     fails or the experiment raises, and no output file changes unless every
     one was written, so there are no partial output files.
     """
-    diagnostics = validate(config)
+    diagnostics = diagnose(config)
     for diag in diagnostics:
         print(diag, file=sys.stderr)
     if any(d.severity == "fatal" for d in diagnostics):
@@ -561,7 +575,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "validate":
-            diagnostics = validate(config)
+            diagnostics = diagnose(config)
             print("\n".join(map(str, diagnostics)) or "config ok")
             return 2 if any(d.severity == "fatal" for d in diagnostics) else 0
         # flag > file > default

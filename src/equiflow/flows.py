@@ -21,7 +21,7 @@ from . import diffcalc
 from .diffcalc import ScalarField, VectorMap
 from .errors import ConfigurationError, SingularMatrixError
 from .geometry import Connection, OptimizerState, StateVelocity
-from .models import Dataset, GaussianHead, Model, network_jacobian
+from .models import Dataset, GaussianHead, Model, check_dataset_dims, network_jacobian
 
 # 1/xi terms are evaluated at max(xi, XI_MIN); trajectories start there too.
 XI_MIN = 1e-3
@@ -123,9 +123,7 @@ def ggn_matrix(
         )
     if np.max(np.abs(weight - weight.T)) > 1e-10 or np.min(np.linalg.eigvalsh(weight)) < -1e-10:
         raise ConfigurationError("GGN weight must be symmetric positive semidefinite")
-    if data.inputs.shape[1] != model.in_dim or data.targets.shape[1] != model.out_dim:
-        raise ConfigurationError("dataset dimensions do not match model")
-
+    check_dataset_dims(model, data.inputs.shape[1], data.targets.shape[1])
     theta = np.asarray(theta, dtype=float)
     total = np.zeros((model.param_dim, model.param_dim))
     for jac in network_jacobian(model, data, theta, chart):

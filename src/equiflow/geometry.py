@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .diffcalc import ScalarField, VectorMap
 from .errors import ConfigurationError, EvaluationDomainError, SingularMatrixError
 
 FAMILIES = ("translation", "euclidean", "signed-permutation", "affine", "shear")
-
-NATURALIZER_CONDITIONS = ("orthogonal-jacobian", "signed-permutation", "affine")
 
 # Matrices whose inversion backs a transform are rejected beyond this.
 MAX_CONDITION = 1e12
@@ -152,9 +150,6 @@ class Diffeomorphism:
     def jacobian(self, theta) -> np.ndarray:
         return diffcalc.jacobian(self.forward_map, theta)
 
-    def second_derivatives(self, theta) -> np.ndarray:
-        return diffcalc.second_derivatives(self.forward_map, theta)
-
     def inverse_second_derivatives(self, theta_bar) -> np.ndarray:
         return diffcalc.second_derivatives(self.inverse_map, theta_bar)
 
@@ -277,27 +272,35 @@ def random_invertible(
     raise ConfigurationError("failed to sample a non-orthogonal invertible matrix")
 
 
-def nearest_signed_permutation(matrix: np.ndarray) -> np.ndarray | None:
-    """Snap entries to {-1, 0, 1}; None when the result is not a signed
-    permutation matrix."""
+def is_near_signed_permutation(matrix: np.ndarray, tol: float = 1e-3) -> bool:
+    """Whether `matrix` lies within `tol`, entrywise, of a signed permutation matrix."""
     snapped = np.zeros_like(matrix)
     snapped[matrix > 0.5] = 1.0
     snapped[matrix < -0.5] = -1.0
-    abs_snapped = np.abs(snapped)
-    if np.any(abs_snapped.sum(axis=0) != 1.0) or np.any(abs_snapped.sum(axis=1) != 1.0):
-        return None
-    return snapped
+    ones = np.abs(snapped)
+    if np.any(ones.sum(axis=0) != 1.0) or np.any(ones.sum(axis=1) != 1.0):
+        return False
+    return bool(np.max(np.abs(matrix - snapped)) < tol)
 
 
-def is_near_signed_permutation(matrix: np.ndarray, tol: float = 1e-3) -> bool:
-    snapped = nearest_signed_permutation(matrix)
-    return snapped is not None and np.max(np.abs(matrix - snapped)) < tol
+# At one parameter a shear is the identity and every rotation a signed permutation.
+_NEED_TWO_PARAMETERS = {
+    "euclidean": "a euclidean map needs dim >= 2; at dim {} every rotation is a signed permutation",
+    "shear": "a shear needs dim >= 2; at dim {} it is the identity",
+}
+
+
+def check_family_dim(family: str, dim: int) -> None:
+    """Refuse a family whose every member at `dim` parameters lies in a smaller family."""
+    if dim < 2 and family in _NEED_TWO_PARAMETERS:
+        raise ConfigurationError(_NEED_TWO_PARAMETERS[family].format(dim))
 
 
 def sample_diffeomorphism(
     family: str, dim: int, rng: np.random.Generator
 ) -> Diffeomorphism:
-    """Draw one catalog entry from the named family."""
+    """Draw one catalog entry from the named family, after `check_family_dim`."""
+    check_family_dim(family, dim)
     if family == "translation":
         return translation(rng.uniform(-1.0, 1.0, size=dim))
     if family == "euclidean":
@@ -324,8 +327,6 @@ def sample_diffeomorphism(
             random_invertible(dim, rng), rng.uniform(-1.0, 1.0, size=dim)
         )
     if family == "shear":
-        if dim < 2:
-            raise ConfigurationError(f"a shear needs dim >= 2; at dim {dim} it is the identity")
         coeffs = np.zeros((dim, dim))
         for k in range(1, dim):
             coeffs[k, :k] = rng.uniform(0.3, 0.8, size=k) * rng.choice(
@@ -393,47 +394,3 @@ def pullback_connection(g: Diffeomorphism) -> Connection:
         return np.einsum("kl,lij->kij", jac_fwd, d2_inv)
 
     return Connection(dim, christoffel)
-
-
-# ---------------------------------------------------------------------------
-# naturalizer membership
-# ---------------------------------------------------------------------------
-
-
-def naturalizer_membership(
-    g: Diffeomorphism,
-    condition: str,
-    samples: Sequence,
-    tol: float = 1e-8,
-) -> tuple[bool, float]:
-    """Check the named Jacobian condition at every sample point.
-
-    All three conditions additionally require the Jacobian to be constant
-    across samples, since the derived naturalizers are globally affine.
-    Returns (member, max violation).
-    """
-    if condition not in NATURALIZER_CONDITIONS:
-        raise ConfigurationError(f"unknown naturalizer condition {condition!r}")
-    samples = [np.asarray(s, dtype=float) for s in samples]
-    if not samples:
-        raise ConfigurationError("naturalizer membership needs at least one sample")
-
-    jacs = [g.jacobian(s) for s in samples]
-    violation = max(
-        (float(np.max(np.abs(j - jacs[0]))) for j in jacs[1:]), default=0.0
-    )
-    eye = np.eye(g.dim)
-    for theta, jac in zip(samples, jacs):
-        if condition == "orthogonal-jacobian":
-            violation = max(violation, float(np.max(np.abs(jac @ jac.T - eye))))
-        elif condition == "signed-permutation":
-            snapped = nearest_signed_permutation(jac)
-            if snapped is None:
-                violation = max(violation, 1.0)
-            else:
-                violation = max(violation, float(np.max(np.abs(jac - snapped))))
-        else:  # affine: vanishing second derivatives everywhere
-            violation = max(
-                violation, float(np.max(np.abs(g.second_derivatives(theta))))
-            )
-    return violation <= tol, violation

@@ -105,6 +105,15 @@ _GROUP_FAMILIES = {
 }
 
 
+def check_thresholds(tolerance: float, violation_threshold: float) -> None:
+    """Refuse a tolerance that leaves no gap below the violation threshold."""
+    if tolerance >= violation_threshold:
+        raise ConfigurationError(
+            f"tolerance {tolerance} must be strictly below the violation threshold "
+            f"{violation_threshold}"
+        )
+
+
 def expected_verdict(algorithm: str, family: str) -> str:
     group = EQUIVARIANCE_GROUPS[algorithm]
     return "equivariant" if family in _GROUP_FAMILIES[group] else "violated"
@@ -319,11 +328,7 @@ def classify_equivariance(
         raise ConfigurationError("trials_per_family must be >= 1")
     if states_per_trial < 1:
         raise ConfigurationError("states_per_trial must be >= 1")
-    if tolerance >= violation_threshold:
-        raise ConfigurationError(
-            f"tolerance {tolerance} must sit below the violation threshold "
-            f"{violation_threshold}"
-        )
+    check_thresholds(tolerance, violation_threshold)
 
     base_flow = builder.build()
     base_matrix_fn = builder.inverted_matrix_fn(None)

@@ -64,6 +64,37 @@ def integrate(
     return Trajectory(scheme, h, (start, *_steps(flow, start, h, steps, scheme)))
 
 
+def check_step_count(steps: int) -> None:
+    """Refuse a step count outside [1, MAX_STEPS]."""
+    if not 1 <= steps <= MAX_STEPS:
+        raise ConfigurationError(f"step count must be in [1, {MAX_STEPS}], got {steps}")
+
+
+def drift_step_counts(h_list: Sequence[float], horizon: float) -> list[int]:
+    """The step count, max(1, round(horizon / h)), the drift study takes at each h.
+
+    Raises `ConfigurationError` when the horizon is not positive, or when a
+    count is not finite or exceeds `MAX_STEPS`.
+    """
+    if horizon <= 0.0:
+        raise ConfigurationError(f"horizon must be positive, got {horizon}")
+    counts = []
+    for h in h_list:
+        if not (h > 0.0 and math.isfinite(horizon / h)):
+            raise ConfigurationError(
+                f"step count horizon / h is not finite and positive for h = {h}, "
+                f"horizon = {horizon}"
+            )
+        count = max(1, round(horizon / h))
+        if count > MAX_STEPS:
+            raise ConfigurationError(
+                f"step count horizon / h = {count} exceeds MAX_STEPS = "
+                f"{MAX_STEPS} for h = {h}, horizon = {horizon}"
+            )
+        counts.append(count)
+    return counts
+
+
 def _final(flow: FlowField, start: OptimizerState, h: float, steps: int, scheme: str):
     """The last state `integrate` would return, holding one state at a time."""
     state = start
@@ -76,8 +107,7 @@ def _steps(flow: FlowField, start: OptimizerState, h: float, steps: int, scheme:
     """The state after each step of `integrate`, one at a time."""
     if h <= 0.0:
         raise ConfigurationError(f"step size must be positive, got {h}")
-    if not 1 <= steps <= MAX_STEPS:
-        raise ConfigurationError(f"step count must be in [1, {MAX_STEPS}], got {steps}")
+    check_step_count(steps)
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if start.order != flow.order:
@@ -144,24 +174,13 @@ def equivariance_drift(
 
     Integrates the base-chart flow from `start` and the intrinsically built
     barred flow from the pushed-forward start over a fixed horizon, then
-    measures the final-state mismatch in the barred chart.  The per-step
-    count is horizon/h, so a p-th order scheme shows slope ~ p; an h that
-    repeats an earlier one, or for which that count is not finite or exceeds
-    `MAX_STEPS`, raises `ConfigurationError` before any integration.
+    measures the final-state mismatch in the barred chart.  Each h takes the
+    `drift_step_counts` count of steps, so a p-th order scheme shows slope
+    ~ p; an h that repeats an earlier one, or a count that rule refuses,
+    raises `ConfigurationError` before any integration.
     """
-    if horizon <= 0.0:
-        raise ConfigurationError(f"horizon must be positive, got {horizon}")
+    counts = drift_step_counts(h_list, horizon)
     for i, h in enumerate(h_list):
-        if not (h > 0.0 and math.isfinite(horizon / h)):
-            raise ConfigurationError(
-                f"step count horizon / h is not finite and positive for h = {h}, "
-                f"horizon = {horizon}"
-            )
-        if round(horizon / h) > MAX_STEPS:
-            raise ConfigurationError(
-                f"step count horizon / h = {round(horizon / h)} exceeds MAX_STEPS = "
-                f"{MAX_STEPS} for h = {h}, horizon = {horizon}"
-            )
         if h in h_list[:i]:
             raise ConfigurationError(
                 f"step size h = {h} is repeated; the slope fit needs distinct step sizes"
@@ -172,8 +191,7 @@ def equivariance_drift(
 
     points = []
     diverged = []
-    for h in h_list:
-        steps = max(1, round(horizon / h))
+    for h, steps in zip(h_list, counts):
         try:
             base = _final(base_flow, start, h, steps, scheme)
             barred = _final(barred_flow, start_barred, h, steps, scheme)

@@ -122,18 +122,22 @@ def mlp_tanh(in_dim: int, hidden: int, out_dim: int, bias: bool = True) -> Model
     return Model("mlp-tanh", in_dim, out_dim, param_dim, forward)
 
 
+def check_dataset_dims(model: Model, in_dim: int, out_dim: int) -> None:
+    """Refuse dataset input and target sizes other than the model's."""
+    if (in_dim, out_dim) != (model.in_dim, model.out_dim):
+        raise ConfigurationError(
+            f"dataset dims {in_dim}->{out_dim} do not match model dims "
+            f"{model.in_dim}->{model.out_dim}"
+        )
+
+
 def dataset_loss(model: Model, data: Dataset) -> ScalarField:
     """Mean squared error (1/|S|) sum 1/2 ||f(x, theta) - y||^2.
 
     Samples are accumulated in index order so repeated evaluations are
     bit-reproducible.
     """
-    if data.inputs.shape[1] != model.in_dim or data.targets.shape[1] != model.out_dim:
-        raise ConfigurationError(
-            f"dataset dims {data.inputs.shape[1]}->{data.targets.shape[1]} do not "
-            f"match model dims {model.in_dim}->{model.out_dim}"
-        )
-
+    check_dataset_dims(model, data.inputs.shape[1], data.targets.shape[1])
     inputs, targets, size = data.inputs, data.targets, data.size
 
     def fn(theta):

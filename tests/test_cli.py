@@ -7,12 +7,31 @@ from pathlib import Path
 import pytest
 
 import equiflow.cli as cli
+from equiflow import (
+    ConfigurationError,
+    catalog,
+    classify_equivariance,
+    dataset_loss,
+    default_flow_builder,
+    equivariance_drift,
+    integrate,
+    linear_model,
+    load_dataset,
+    reproduce_table,
+    state_order1,
+)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(overrides))
     return path
+
+
+def drift_study(h_list):
+    """The library drift study of gd at N = 2 under a shear, on the given step sizes."""
+    start = state_order1([0.5, -0.5])
+    return equivariance_drift(default_flow_builder("gd", 2), catalog("shear", 2, 1), start, h_list)
 
 
 class TestValidate:
@@ -291,6 +310,78 @@ class TestValidate:
         assert not out.exists()
         path = write_config(tmp_path, theta0=[0.1] * expected, out_dir=str(out), **overrides)
         assert not any(d.severity == "fatal" for d in cli.validate(cli.load_config(path)))
+
+    # (config, the library entry point's call on the same input)
+    LIBRARY_REFUSALS = {
+        "drift-steps-not-finite": (
+            {"experiment": "drift", "dims": [2], "h_list": [1e-320]},
+            lambda: drift_study([1e-320]),
+        ),
+        "drift-steps": (
+            {"experiment": "drift", "dims": [2], "h_list": [1e-9]},
+            lambda: drift_study([1e-9]),
+        ),
+        "trajectory-steps": (
+            {"experiment": "trajectory", "dims": [2], "steps": 10**9},
+            lambda: integrate(
+                default_flow_builder("gd", 2).build(), state_order1([0.5, -0.5]), 0.01, 10**9
+            ),
+        ),
+        "one-parameter-table": (
+            {"experiment": "table", "dims": [1], "trials": 2},
+            lambda: reproduce_table(dims=[1], algorithms=["gd"], trials_per_family=2),
+        ),
+        "one-parameter-euclidean-drift": (
+            {"experiment": "drift", "dims": [1], "diffeo": {"family": "euclidean"}},
+            lambda: catalog("euclidean", 1, 1),
+        ),
+        "dataset-dims": (
+            {
+                "experiment": "classify",
+                "model": {"kind": "linear", "in_dim": 2},
+                "dataset": {"path": "data.csv", "in_dim": 1, "out_dim": 1},
+            },
+            lambda: dataset_loss(linear_model(2), load_dataset("data.csv", 1, 1)),
+        ),
+        "tolerance-at-threshold": (
+            {"tolerance": 1e-3, "violation_threshold": 1e-3},
+            lambda: classify_equivariance(
+                default_flow_builder("gd", 2), tolerance=1e-3, violation_threshold=1e-3
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+    def test_fatal_is_the_library_refusal(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("0.5,1.0\n-0.5,0.2\n")
+        config, library_call = self.LIBRARY_REFUSALS[case]
+        path = write_config(tmp_path, algorithms=["gd"], **config)
+        fatal = [d.message for d in cli.validate(cli.load_config(path)) if d.severity == "fatal"]
+        with pytest.raises(ConfigurationError) as refusal:
+            library_call()
+        assert fatal == [str(refusal.value)]
+
+    def test_step_sizes_that_miss_the_horizon_warn(self, tmp_path, capsys):
+        # 0.03 and 0.003 take 33 and 333 steps: flow times 0.99 and 0.999
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path, experiment="drift", dims=[2], algorithms=["gd"], out_dir=str(out)
+        )
+        config = cli.load_config(path)
+        assert cli.validate(config) == []
+        warnings = [
+            "warning: h = 0.03: step count 33 reaches flow time 0.99, not the horizon 1.0",
+            "warning: h = 0.003: step count 333 reaches flow time 0.999, not the horizon 1.0",
+        ]
+        assert [str(d) for d in cli.diagnose(config)] == warnings
+        assert cli.main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == warnings
+        assert cli.main(["run", str(path)]) == 0
+        assert capsys.readouterr().err.splitlines() == warnings
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["horizon"] == 1.0
+        assert [h for h, _ in report["results"][0]["points"]] == cli.DEFAULTS["h_list"]
 
 
 class TestRun:

@@ -194,6 +194,16 @@ class TestFisherAndGgn:
         with pytest.raises(ConfigurationError):
             ggn_matrix(model, data, np.eye(2), [0.0, 0.0])
 
+    def test_dataset_dims_mismatch_reads_as_the_loss_refusal(self):
+        model = linear_model(2, 1)
+        data = Dataset([[1.0], [0.5]], [[0.0], [1.0]])
+        with pytest.raises(ConfigurationError) as loss_refusal:
+            dataset_loss(model, data)
+        with pytest.raises(ConfigurationError) as ggn_refusal:
+            ggn_matrix(model, data, np.eye(1), [0.0, 0.0])
+        assert str(ggn_refusal.value) == str(loss_refusal.value)
+        assert str(ggn_refusal.value) == "dataset dims 1->1 do not match model dims 2->1"
+
 
 def per_sample_ggn(model, data, weight, g, theta_bar):
     """The barred GGN built one sample at a time: each sample's Jacobian of

@@ -12,7 +12,6 @@ from equiflow import (
     gradient,
     integrate,
     jacobian,
-    naturalizer_membership,
     nesterov_flow,
     pullback_connection,
     pullback_loss,
@@ -220,43 +219,6 @@ class TestPullbackConnection:
             pullback_connection(both).christoffel_at(theta_bar),
             atol=1e-12,
         )
-
-
-class TestNaturalizerMembership:
-    def test_rotation_with_shift_is_orthogonal(self):
-        g = affine_diffeomorphism(rotation2d(np.pi / 6), [1.0, -2.0], family="euclidean")
-        ok, violation = naturalizer_membership(
-            g, "orthogonal-jacobian", [[0.0, 0.0], [1.0, 1.0]]
-        )
-        assert ok and violation <= 1e-12
-
-    def test_scaling_violation_magnitude(self):
-        g = affine_diffeomorphism([[2.0]])
-        ok, violation = naturalizer_membership(g, "orthogonal-jacobian", [[0.5]])
-        assert not ok
-        assert np.isclose(violation, 3.0)
-
-    def test_shear_is_not_affine(self):
-        g = canonical_shear(0.5)
-        ok, violation = naturalizer_membership(
-            g, "affine", [[0.0, 0.0], [1.0, 0.5], [-0.5, 0.2]]
-        )
-        assert not ok and violation > 1e-3
-
-    def test_signed_permutation_membership(self):
-        rng = np.random.default_rng(9)
-        g = sample_diffeomorphism("signed-permutation", 3, rng)
-        ok, violation = naturalizer_membership(
-            g, "signed-permutation", [rng.uniform(-1, 1, 3) for _ in range(3)]
-        )
-        assert ok and violation <= 1e-12
-        rot = affine_diffeomorphism(rotation2d(0.4), family="euclidean")
-        ok, violation = naturalizer_membership(rot, "signed-permutation", [[0.1, 0.2]])
-        assert not ok and violation > 1e-2
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ConfigurationError):
-            naturalizer_membership(identity(2), "affine", [])
 
 
 class TestCatalog:
