@@ -373,9 +373,7 @@ def second_derivatives(m: VectorMap, theta) -> np.ndarray:
 
     Each D[l] is exactly symmetric.
     """
-    if m.matrix is not None:
-        return _affine_parts(m.matrix)[1]
-    return _second_derivative_blocks(m.fn(seed_duals(theta, order=2)), m, theta)
+    return jacobian_and_second_derivatives(m, theta)[1]
 
 
 def _second_derivative_blocks(out, m: VectorMap, theta) -> np.ndarray:

@@ -4,10 +4,9 @@ Four dynamics: gradient, Nesterov, Adam and Newton flow.  Each constructor
 returns a `FlowField` mapping an `OptimizerState` to a `StateVelocity`, and
 records in `FlowField.inverts` the matrix the flow inverts.  A metric is a
 field theta -> P(theta), the symmetric (n, n) array of a covariant form such
-as the Fisher or GGN, re-evaluated at every state.  Given a Fisher or GGN
-field, gradient flow becomes ngd or ggn, and Nesterov flow, with a connection
-too, becomes nngd or agn.  Time-dependent flows regularize the 1/xi damping
-below `XI_MIN`.
+as the Fisher or GGN, re-evaluated at every state.  `harness.FLOW_RECIPES`
+names each algorithm's dynamics, metric and connection.  Time-dependent
+flows regularize the 1/xi damping below `XI_MIN`.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
 """Naturality verdicts: residuals, per-family classification, summary table.
 
-A `FlowBuilder` knows how to construct one algorithm's flow either in the
-base chart or, given a reparameterization, intrinsically in the barred chart
-(pulled-back loss, GGN or Fisher read through the inverse map, and the
-transform-consistent connection).  The
-naturality residual compares the pushed-forward flow value against the
-intrinsic barred flow value; classification runs seeded trials per
-reparameterization family and demands a crisp verdict.  Each sampled state
-first passes a conditioning pre-check on the matrix the flow inverts in both
-charts; the pre-check and the flow evaluation that follows share one
-evaluation of that matrix per state and chart, whether it is a Fisher, GGN,
-Hessian or covariant Hessian.
+Each algorithm is one row of `FLOW_RECIPES`: its dynamics, metric, connection
+and reference group, from which its expected verdicts are read.  A
+`FlowBuilder` builds a row's flow in the base chart or, given a
+reparameterization, intrinsically in the barred chart.  The naturality
+residual compares the pushed-forward flow value against the intrinsic barred
+flow value; classification runs seeded trials per reparameterization family
+and demands a crisp verdict.  Each sampled state first passes a conditioning
+pre-check on the matrix the flow inverts in both charts; the pre-check and the
+flow evaluation that follows share one evaluation of that matrix per state and
+chart, whether it is a Fisher, GGN, Hessian or covariant Hessian.
 
 All randomness flows from one integer seed: every trial uses a PCG64
 generator seeded with SeedSequence([seed, dim, algorithm_index,
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .flows import (
     FlowField,
     _newton_flow,
     adam_stationary_flow,
-    fisher_matrix,
     ggn_matrix,
     gradient_flow,
     nesterov_flow,
@@ -43,6 +41,7 @@ from .geometry import (
     FAMILIES,
     Diffeomorphism,
     OptimizerState,
+    check_family_dim,
     pullback_connection,
     pullback_loss,
     pushforward_state,
@@ -51,21 +50,29 @@ from .geometry import (
     state_order1,
     state_order2,
 )
-from .models import Dataset, GaussianHead, Model, dataset_loss, linear_model, mlp_tanh
+from .models import Dataset, Model, check_noise_variance, dataset_loss, linear_model, mlp_tanh
 
-ALGORITHMS = (
-    "gd",
-    "nesterov",
-    "adam",
-    "newton",
-    "newton-covariant",
-    "ngd",
-    "ggn",
-    "nngd",
-    "agn",
-)
 
-_NEEDS_MODEL = frozenset({"ngd", "ggn", "nngd", "agn"})
+class FlowRecipe(NamedTuple):
+    dynamics: str  # "gradient", "nesterov", "adam" or "newton"
+    metric: Optional[str]  # None, "fisher" or "ggn"
+    transported: bool  # whether the barred flow gets the transported connection
+    group: str  # reference equivariance group, a key of _GROUP_FAMILIES
+
+
+# One row per algorithm, in the order `trial_rng` indexes them.
+FLOW_RECIPES = {
+    "gd": FlowRecipe("gradient", None, False, "E(N)"),
+    "nesterov": FlowRecipe("nesterov", None, False, "E(N)"),
+    "adam": FlowRecipe("adam", None, False, "B_N x T(N)"),
+    "newton": FlowRecipe("newton", None, False, "Aff(N,R)"),
+    "newton-covariant": FlowRecipe("newton", None, True, "Diff(M)"),
+    "ngd": FlowRecipe("gradient", "fisher", False, "Diff(M)"),
+    "ggn": FlowRecipe("gradient", "ggn", False, "Diff(M)"),
+    "nngd": FlowRecipe("nesterov", "fisher", True, "Diff(M)"),
+    "agn": FlowRecipe("nesterov", "ggn", True, "Diff(M)"),
+}
+ALGORITHMS = tuple(FLOW_RECIPES)
 
 # Verdict classification thresholds: residual max <= tolerance is
 # equivariant, >= threshold is violated, anything between fails loudly.
@@ -82,19 +89,6 @@ TABLE_DIMS = (2, 4, 8)
 STATE_BOX = 1.5
 STATE_MAX_CONDITION = 1e8
 STATE_MAX_TRIES = 100
-
-# Reference equivariance group of each algorithm's flow.
-EQUIVARIANCE_GROUPS = {
-    "gd": "E(N)",
-    "nesterov": "E(N)",
-    "adam": "B_N x T(N)",
-    "newton": "Aff(N,R)",
-    "newton-covariant": "Diff(M)",
-    "ngd": "Diff(M)",
-    "ggn": "Diff(M)",
-    "nngd": "Diff(M)",
-    "agn": "Diff(M)",
-}
 
 # The reparameterization families each reference group contains.
 _GROUP_FAMILIES = {
@@ -115,17 +109,18 @@ def check_thresholds(tolerance: float, violation_threshold: float) -> None:
 
 
 def expected_verdict(algorithm: str, family: str) -> str:
-    group = EQUIVARIANCE_GROUPS[algorithm]
+    group = FLOW_RECIPES[algorithm].group
     return "equivariant" if family in _GROUP_FAMILIES[group] else "violated"
 
 
 @dataclass(frozen=True)
 class FlowBuilder:
-    """Recipe turning a chart description into one algorithm's flow field.
+    """One algorithm's `FLOW_RECIPES` row made into its flow field on a loss.
 
     Building with `reparam=None` yields the base-chart flow; building with a
     diffeomorphism yields the flow computed intrinsically in the barred
-    chart.  Building is deterministic, so repeated builds are identical.
+    chart.  The Fisher is the GGN form with weight I / `noise_variance`.
+    Building is deterministic, so repeated builds are identical.
 
     The builder keeps the last matrix its flow inverts, computed in the
     base chart and in the most recent barred chart (matched by identity),
@@ -147,12 +142,15 @@ class FlowBuilder:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in FLOW_RECIPES:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm in _NEEDS_MODEL and (self.model is None or self.data is None):
+        metric = FLOW_RECIPES[self.algorithm].metric
+        if metric is not None and (self.model is None or self.data is None):
             raise ConfigurationError(
                 f"{self.algorithm} needs a model and a dataset for its preconditioner"
             )
+        if metric == "fisher":
+            check_noise_variance(self.noise_variance)
         if self.model is not None and self.model.param_dim != self.loss.dim:
             raise ConfigurationError("model parameter dimension does not match loss")
 
@@ -160,15 +158,12 @@ class FlowBuilder:
     def dim(self) -> int:
         return self.loss.dim
 
-    def _precondition_fn(self, reparam: Optional[Diffeomorphism]):
+    def _precondition_fn(self, reparam: Optional[Diffeomorphism], metric: str):
         # In the barred chart the model reads its parameters through g^-1.
         chart = None if reparam is None else reparam.inverse_map
-        if self.algorithm in ("ngd", "nngd"):
-            head = GaussianHead(self.model, self.noise_variance)
-            form_at = lambda theta: fisher_matrix(head, self.data, theta, chart)
-        else:
-            weight = np.eye(self.model.out_dim)
-            form_at = lambda theta: ggn_matrix(self.model, self.data, weight, theta, chart)
+        scale = self.noise_variance if metric == "fisher" else 1.0
+        weight = np.eye(self.model.out_dim) / scale
+        form_at = lambda theta: ggn_matrix(self.model, self.data, weight, theta, chart)
         shared = self._shared(reparam, lambda theta: (form_at(theta),))
         return lambda theta: shared(theta)[0]
 
@@ -190,32 +185,24 @@ class FlowBuilder:
 
         return shared
 
-    def _connection(self, reparam: Optional[Diffeomorphism]):
-        # The flat base-chart connection is implicit (Gamma = 0); only the
-        # barred chart carries nonzero Christoffel symbols.
-        if reparam is None:
-            return None
-        return pullback_connection(reparam)
-
     def build(self, reparam: Optional[Diffeomorphism] = None) -> FlowField:
         """This algorithm's flow, named after it, in the base chart or the barred chart."""
         return replace(self._flow(reparam), algorithm=self.algorithm)
 
     def _flow(self, reparam: Optional[Diffeomorphism]) -> FlowField:
+        dynamics, metric, transported, _ = FLOW_RECIPES[self.algorithm]
         loss = self.loss if reparam is None else pullback_loss(reparam, self.loss)
-        alg = self.algorithm
-        if alg == "adam":
+        # The flat base-chart connection is implicit (Gamma = 0); only the
+        # barred chart carries nonzero Christoffel symbols.
+        connection = None if reparam is None or not transported else pullback_connection(reparam)
+        precond = None if metric is None else self._precondition_fn(reparam, metric)
+        if dynamics == "adam":
             return adam_stationary_flow(loss, epsilon=self.epsilon)
-        if alg in ("newton", "newton-covariant"):
-            connection = self._connection(reparam) if alg == "newton-covariant" else None
+        if dynamics == "newton":
             return _newton_flow(loss, connection, partial(self._shared, reparam))
-        # gradient or Nesterov flow, in the Fisher or GGN metric when natural
-        natural = alg in _NEEDS_MODEL
-        metric = self._precondition_fn(reparam) if natural else None
-        if alg in ("gd", "ngd", "ggn"):
-            return gradient_flow(loss, metric)
-        connection = self._connection(reparam) if natural else None
-        return nesterov_flow(loss, metric, r=self.r, connection=connection)
+        if dynamics == "gradient":
+            return gradient_flow(loss, precond)
+        return nesterov_flow(loss, precond, r=self.r, connection=connection)
 
     def inverted_matrix_fn(self, reparam: Optional[Diffeomorphism]):
         """theta -> the matrix this algorithm inverts in the given chart,
@@ -272,7 +259,6 @@ def naturality_residual(
 
 def _sample_state(
     rng: np.random.Generator,
-    algorithm: str,
     base_flow: FlowField,
     g: Diffeomorphism,
     base_matrix_fn,
@@ -295,17 +281,15 @@ def _sample_state(
             except (np.linalg.LinAlgError, SingularMatrixError):
                 continue
         return state
-    raise ConfigurationError(f"could not sample a well-conditioned state for {algorithm}")
-
-
-_ALG_INDEX = {name: i for i, name in enumerate(ALGORITHMS)}
-_FAMILY_INDEX = {name: i for i, name in enumerate(FAMILIES)}
+    raise ConfigurationError(
+        f"could not sample a well-conditioned state for {base_flow.algorithm}"
+    )
 
 
 def trial_rng(seed: int, dim: int, algorithm: str, family: str, trial: int):
     """The documented per-trial generator (PCG64 over a structured seed)."""
     return np.random.default_rng(
-        [seed, dim, _ALG_INDEX[algorithm], _FAMILY_INDEX[family], trial]
+        [seed, dim, ALGORITHMS.index(algorithm), FAMILIES.index(family), trial]
     )
 
 
@@ -320,22 +304,25 @@ def classify_equivariance(
 ) -> list[ResidualReport]:
     """Monte-Carlo membership verdicts for the given reparameterization families.
 
-    Raises `ToleranceGapError` when a family's peak residual falls between
-    the tolerance and the violation threshold, so verdicts never rest on
-    borderline roundoff.
+    Every family is checked, by name and then by `check_family_dim`, before
+    the first trial.  Raises `ToleranceGapError` when a family's peak
+    residual falls between the tolerance and the violation threshold, so
+    verdicts never rest on borderline roundoff.
     """
     if trials_per_family < 1:
         raise ConfigurationError("trials_per_family must be >= 1")
     if states_per_trial < 1:
         raise ConfigurationError("states_per_trial must be >= 1")
     check_thresholds(tolerance, violation_threshold)
+    for family in families:
+        if family not in FAMILIES:
+            raise ConfigurationError(f"unknown family {family!r}")
+        check_family_dim(family, builder.dim)
 
     base_flow = builder.build()
     base_matrix_fn = builder.inverted_matrix_fn(None)
     reports = []
     for family in families:
-        if family not in FAMILIES:
-            raise ConfigurationError(f"unknown family {family!r}")
         residuals = []
         for trial in range(trials_per_family):
             rng = trial_rng(seed, builder.dim, builder.algorithm, family, trial)
@@ -343,9 +330,7 @@ def classify_equivariance(
             barred_flow = builder.build(g)
             barred_matrix_fn = builder.inverted_matrix_fn(g)
             for _ in range(states_per_trial):
-                state = _sample_state(
-                    rng, builder.algorithm, base_flow, g, base_matrix_fn, barred_matrix_fn
-                )
+                state = _sample_state(rng, base_flow, g, base_matrix_fn, barred_matrix_fn)
                 residuals.append(_residual(base_flow, barred_flow, g, state))
         peak = float(np.max(residuals))
         if peak <= tolerance:
@@ -463,7 +448,7 @@ class TableReport:
             "seed": self.seed,
             "tolerance": self.tolerance,
             "violation_threshold": self.violation_threshold,
-            "equivariance_groups": {a: EQUIVARIANCE_GROUPS[a] for a in self.algorithms},
+            "equivariance_groups": {a: FLOW_RECIPES[a].group for a in self.algorithms},
             "expected": {
                 a: {f: expected_verdict(a, f) for f in self.families}
                 for a in self.algorithms
@@ -582,7 +567,7 @@ def render_table_text(table: TableReport) -> str:
             rows.append(
                 [alg]
                 + [verdicts[alg][f] for f in table.families]
-                + [EQUIVARIANCE_GROUPS[alg]]
+                + [FLOW_RECIPES[alg].group]
             )
         blocks.append("\n".join([f"N = {dim}"] + _columns(rows)))
     if table.mismatches:

@@ -73,8 +73,9 @@ def check_step_count(steps: int) -> None:
 def drift_step_counts(h_list: Sequence[float], horizon: float) -> list[int]:
     """The step count, max(1, round(horizon / h)), the drift study takes at each h.
 
-    Raises `ConfigurationError` when the horizon is not positive, or when a
-    count is not finite or exceeds `MAX_STEPS`.
+    Raises `ConfigurationError` when the horizon is not positive, when a
+    count is not finite or exceeds `MAX_STEPS`, or when an h repeats an
+    earlier one, which would leave the drift slope fit one x value short.
     """
     if horizon <= 0.0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -92,6 +93,11 @@ def drift_step_counts(h_list: Sequence[float], horizon: float) -> list[int]:
                 f"{MAX_STEPS} for h = {h}, horizon = {horizon}"
             )
         counts.append(count)
+    for i, h in enumerate(h_list):
+        if h in h_list[:i]:
+            raise ConfigurationError(
+                f"step size h = {h} is repeated; the slope fit needs distinct step sizes"
+            )
     return counts
 
 
@@ -176,15 +182,10 @@ def equivariance_drift(
     barred flow from the pushed-forward start over a fixed horizon, then
     measures the final-state mismatch in the barred chart.  Each h takes the
     `drift_step_counts` count of steps, so a p-th order scheme shows slope
-    ~ p; an h that repeats an earlier one, or a count that rule refuses,
-    raises `ConfigurationError` before any integration.
+    ~ p; the h list that rule refuses raises `ConfigurationError` before any
+    integration.
     """
     counts = drift_step_counts(h_list, horizon)
-    for i, h in enumerate(h_list):
-        if h in h_list[:i]:
-            raise ConfigurationError(
-                f"step size h = {h} is repeated; the slope fit needs distinct step sizes"
-            )
     base_flow = flow_builder.build()
     barred_flow = flow_builder.build(g)
     start_barred = pushforward_state(g, start)

@@ -78,10 +78,13 @@ class GaussianHead:
     noise_variance: float = 1.0
 
     def __post_init__(self):
-        if self.noise_variance <= 0.0:
-            raise ConfigurationError(
-                f"noise variance must be positive, got {self.noise_variance}"
-            )
+        check_noise_variance(self.noise_variance)
+
+
+def check_noise_variance(noise_variance: float) -> None:
+    """Refuse a Gaussian noise variance that is not positive."""
+    if noise_variance <= 0.0:
+        raise ConfigurationError(f"noise variance must be positive, got {noise_variance}")
 
 
 def linear_model(in_dim: int, out_dim: int = 1) -> Model:

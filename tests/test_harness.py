@@ -115,6 +115,14 @@ class TestFlowBuilderValidation:
         with pytest.raises(ConfigurationError):
             FlowBuilder("ngd", quadratic_loss(np.eye(2)))
 
+    @pytest.mark.parametrize("algorithm", ["ngd", "nngd"])
+    def test_fisher_needs_a_positive_noise_variance(self, algorithm):
+        model, data = default_recipe(2, seed=0)
+        with pytest.raises(ConfigurationError, match="noise variance must be positive"):
+            FlowBuilder(
+                algorithm, dataset_loss(model, data), model=model, data=data, noise_variance=0.0
+            )
+
     def test_building_twice_is_identical(self):
         from equiflow import pushforward_state
 
@@ -339,6 +347,37 @@ class TestDamping:
         assert np.array_equal(builder.build()(state).as_vector(), flow(state).as_vector())
 
 
+class TestAlgorithmTable:
+    """`trial_rng` indexes algorithms by their order, so every residual rests on it."""
+
+    def test_order_and_groups(self):
+        assert ALGORITHMS == (
+            "gd",
+            "nesterov",
+            "adam",
+            "newton",
+            "newton-covariant",
+            "ngd",
+            "ggn",
+            "nngd",
+            "agn",
+        )
+        groups = reproduce_table(dims=(2,), families=(), trials_per_family=1).as_dict()[
+            "equivariance_groups"
+        ]
+        assert groups == {
+            "gd": "E(N)",
+            "nesterov": "E(N)",
+            "adam": "B_N x T(N)",
+            "newton": "Aff(N,R)",
+            "newton-covariant": "Diff(M)",
+            "ngd": "Diff(M)",
+            "ggn": "Diff(M)",
+            "nngd": "Diff(M)",
+            "agn": "Diff(M)",
+        }
+
+
 class TestClassifyEquivariance:
     def test_expected_matrix_dim2(self):
         for algorithm in ("gd", "adam", "newton", "ngd"):
@@ -390,6 +429,29 @@ class TestClassifyEquivariance:
         builder = default_flow_builder("gd", 2, seed=0)
         with pytest.raises(ConfigurationError):
             classify_equivariance(builder, tolerance=1e-2, violation_threshold=1e-3)
+
+    @pytest.mark.parametrize(
+        "dim, families, message",
+        [
+            (1, FAMILIES, "a euclidean map needs dim >= 2"),
+            (1, ("translation", "conformal"), "unknown family 'conformal'"),
+            (2, ("translation", "signed-permutation", "conformal"), "unknown family"),
+            (1, ("translation", "affine", "shear"), "a shear needs dim >= 2"),
+        ],
+    )
+    def test_bad_family_refused_before_any_draw(self, dim, families, message, monkeypatch):
+        draws = []
+
+        def counted(*args):
+            draws.append(args[0])
+            return sample_diffeomorphism(*args)
+
+        monkeypatch.setattr(equiflow.harness, "sample_diffeomorphism", counted)
+        with pytest.raises(ConfigurationError, match=message):
+            reproduce_table(
+                dims=[dim], algorithms=["gd"], families=families, trials_per_family=2
+            )
+        assert draws == []
 
     def test_report_schema(self):
         builder = default_flow_builder("gd", 2, seed=0)

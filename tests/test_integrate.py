@@ -17,7 +17,7 @@ from equiflow import (
     trajectory_csv_text,
 )
 from equiflow.harness import FlowBuilder
-from equiflow.integrate import MAX_STEPS
+from equiflow.integrate import MAX_STEPS, drift_step_counts
 
 
 class TestIntegrate:
@@ -172,6 +172,11 @@ class TestEquivarianceDrift:
         with pytest.raises(ConfigurationError, match=r"h = 0\.1 is repeated"):
             equivariance_drift(builder, g, state_order1([1.0, 0.5]), [0.1, 0.01, 0.1])
         assert calls == []
+
+    def test_repeated_step_size_is_the_step_count_rule(self):
+        with pytest.raises(ConfigurationError, match=r"h = 0\.1 is repeated"):
+            drift_step_counts([0.1, 0.1], 1.0)
+        assert drift_step_counts([0.1, 0.01], 1.0) == [10, 100]
 
     def test_memory_does_not_grow_with_the_step_count(self):
         # the study reads only each trajectory's final state and keeps no other
