@@ -73,7 +73,6 @@ from .integrate import (
 )
 from .models import (
     Dataset,
-    GaussianHead,
     Model,
     dataset_loss,
     linear_model,

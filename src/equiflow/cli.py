@@ -448,7 +448,7 @@ def _run_drift(config: dict):
         if math.isfinite(drift.slope):
             slope = f"slope {drift.slope:.3f}"
         else:
-            slope = "slope undefined (fewer than two defects are nonzero)"
+            slope = "slope undefined (fewer than two defects above roundoff)"
         text_lines.append(
             f"{algorithm} under {diffeo_cfg['family']} ({drift.scheme}): "
             f"{slope} over {len(drift.points)} step sizes"

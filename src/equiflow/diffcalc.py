@@ -8,11 +8,12 @@ roundoff.  Central finite differences (`fd_gradient`, `fd_jacobian`) are
 provided as the independent validation oracle and are never used to produce
 derivatives.
 
-An order-2 pass carries every first derivative too, so `gradient_and_hessian`
-and `jacobian_and_second_derivatives` return both orders from one pass;
-`hessian` and `second_derivatives` read from that same pass.  `gradient` and
-`jacobian` keep their cheaper order-1 pass.  Order-2 seeds carry the scalar
-zero Hessian `0.0` (see `Dual2`); every output Hessian is an (n, n) array.
+One function, `derivative_pass`, seeds and reads every dual pass: each output's
+value, first derivatives and, at order 2, exactly symmetrized second
+derivatives, as arrays.  `gradient`, `jacobian` and their order-2 forms call it
+(`hessian` and `second_derivatives` read those), and so does
+`models.network_jacobian`; no other module seeds or reads a `Dual2`.  Order-2
+seeds carry the scalar zero Hessian `0.0` (see `Dual2`).
 
 An affine map carries its matrix (`VectorMap.matrix`).  For such a map
 `jacobian`, `jacobian_and_second_derivatives` and `second_derivatives` read the
@@ -276,52 +277,55 @@ def seed_duals(theta, order: int) -> np.ndarray:
     """Object array of `Dual2` seeds at `theta`: entry i carries the unit
     gradient e_i, and the scalar zero Hessian when `order` is 2."""
     theta = np.asarray(theta, dtype=float)
-    n = theta.shape[0]
-    seeds = np.empty(n, dtype=object)
-    for i in range(n):
-        g = np.zeros(n)
-        g[i] = 1.0
-        seeds[i] = Dual2(theta[i], g, 0.0 if order == 2 else None)
+    seeds = np.empty(theta.shape[0], dtype=object)
+    for i, unit in enumerate(np.eye(theta.shape[0])):
+        seeds[i] = Dual2(theta[i], unit, 0.0 if order == 2 else None)
     return seeds
 
 
-def _dual_parts(out, n: int, order: int):
-    """Extract (value, grad, hess) from a possibly-constant fn output; an
-    order-2 hess is always an (n, n) array."""
-    if isinstance(out, Dual2):
-        h = None
+def derivative_pass(fn: Callable, theta, order: int):
+    """(values, first, second) of every output of `fn` on `seed_duals(theta, order)`.
+
+    For outputs of shape s the shapes are s, s + (n,) and s + (n, n), each (n, n)
+    block exactly symmetrized; `second` is None at order 1.  A plain-number
+    output has zero derivatives.  Nothing is checked for finiteness."""
+    n = np.shape(theta)[0]
+    outs = np.asarray(fn(seed_duals(theta, order)), dtype=object)
+    values = np.zeros(outs.shape)
+    first = np.zeros(outs.shape + (n,))
+    second = np.zeros(outs.shape + (n, n)) if order == 2 else None
+    for k in np.ndindex(outs.shape):
+        out = outs[k]
+        if not isinstance(out, Dual2):
+            values[k] = out
+            continue
+        values[k], first[k] = out.v, out.g
         if order == 2:
-            h = np.full((n, n), out.h) if np.ndim(out.h) == 0 else out.h
-        return out.v, out.g, h
-    # fn returned a plain constant: all derivatives vanish
-    v = float(out)
-    return v, np.zeros(n), (np.zeros((n, n)) if order == 2 else None)
+            second[k] = out.h  # a scalar h broadcasts, keeping the sign of a zero
+    if order == 2:
+        second = 0.5 * (second + np.swapaxes(second, -1, -2))
+    return values, first, second
 
 
-def _symmetrized(h) -> np.ndarray:
-    h = np.array(h, dtype=float)
-    return 0.5 * (h + h.T)
+def _finite(array: np.ndarray, what: str, name: str, theta) -> None:
+    if not np.all(np.isfinite(array)):
+        raise EvaluationDomainError(f"{what} of {name} non-finite at {theta}")
 
 
 def gradient(f: ScalarField, theta) -> np.ndarray:
     """First derivatives of `f` at `theta`, exact to roundoff."""
-    out = f.fn(seed_duals(theta, order=1))
-    v, g, _ = _dual_parts(out, f.dim, order=1)
-    if not (math.isfinite(v) and np.all(np.isfinite(g))):
-        raise EvaluationDomainError(f"gradient of {f.name or 'field'} non-finite at {theta}")
-    return np.array(g, dtype=float)
+    value, grad, _ = derivative_pass(f.fn, theta, order=1)
+    _finite(np.append(value, grad), "gradient", f.name or "field", theta)
+    return grad.reshape(f.dim)
 
 
 def gradient_and_hessian(f: ScalarField, theta) -> tuple[np.ndarray, np.ndarray]:
     """(gradient, exactly symmetrized Hessian) of `f` at `theta` from one
     order-2 pass; the gradient equals `gradient(f, theta)` bit for bit."""
-    out = f.fn(seed_duals(theta, order=2))
-    v, g, h = _dual_parts(out, f.dim, order=2)
-    if not (math.isfinite(v) and np.all(np.isfinite(g))):
-        raise EvaluationDomainError(f"gradient of {f.name or 'field'} non-finite at {theta}")
-    if not np.all(np.isfinite(h)):
-        raise EvaluationDomainError(f"hessian of {f.name or 'field'} non-finite at {theta}")
-    return np.array(g, dtype=float), _symmetrized(h)
+    value, grad, hess = derivative_pass(f.fn, theta, order=2)
+    _finite(np.append(value, grad), "gradient", f.name or "field", theta)
+    _finite(hess, "hessian", f.name or "field", theta)
+    return grad.reshape(f.dim), hess.reshape(f.dim, f.dim)
 
 
 def hessian(f: ScalarField, theta) -> np.ndarray:
@@ -341,20 +345,8 @@ def jacobian(m: VectorMap, theta) -> np.ndarray:
     """(out_dim, in_dim) matrix of first partials of `m` at `theta`."""
     if m.matrix is not None:
         return _affine_parts(m.matrix)[0]
-    out = m.fn(seed_duals(theta, order=1))
-    return jacobian_rows(out, m.in_dim, m.out_dim, m.name or "map", theta)
-
-
-def jacobian_rows(out, in_dim: int, out_dim: int, name: str, theta) -> np.ndarray:
-    """(out_dim, in_dim) Jacobian read off `out`, a map's output on the seeds
-    of `theta` (either order); constant components give zero rows."""
-    rows = []
-    for comp in np.asarray(out, dtype=object).reshape(out_dim):
-        _, g, _ = _dual_parts(comp, in_dim, order=1)
-        rows.append(np.array(g, dtype=float))
-    jac = np.stack(rows)
-    if not np.all(np.isfinite(jac)):
-        raise EvaluationDomainError(f"jacobian of {name} non-finite at {theta}")
+    jac = derivative_pass(m.fn, theta, order=1)[1].reshape(m.out_dim, -1)
+    _finite(jac, "jacobian", m.name or "map", theta)
     return jac
 
 
@@ -363,30 +355,16 @@ def jacobian_and_second_derivatives(m: VectorMap, theta) -> tuple[np.ndarray, np
     pass; the Jacobian equals `jacobian(m, theta)` bit for bit."""
     if m.matrix is not None:
         return _affine_parts(m.matrix)
-    out = m.fn(seed_duals(theta, order=2))
-    jac = jacobian_rows(out, m.in_dim, m.out_dim, m.name or "map", theta)
-    return jac, _second_derivative_blocks(out, m, theta)
+    _, jac, d2 = derivative_pass(m.fn, theta, order=2)
+    jac, d2 = jac.reshape(m.out_dim, -1), d2.reshape(m.out_dim, *d2.shape[-2:])
+    _finite(jac, "jacobian", m.name or "map", theta)
+    _finite(d2, "second derivatives", m.name or "map", theta)
+    return jac, d2
 
 
 def second_derivatives(m: VectorMap, theta) -> np.ndarray:
-    """Rank-3 array D[l, i, j] = d^2 m^l / dtheta^i dtheta^j.
-
-    Each D[l] is exactly symmetric.
-    """
+    """Rank-3 array D[l, i, j] = d^2 m^l / dtheta^i dtheta^j; each D[l] is exactly symmetric."""
     return jacobian_and_second_derivatives(m, theta)[1]
-
-
-def _second_derivative_blocks(out, m: VectorMap, theta) -> np.ndarray:
-    blocks = []
-    for comp in np.asarray(out, dtype=object).reshape(m.out_dim):
-        _, _, h = _dual_parts(comp, m.in_dim, order=2)
-        blocks.append(_symmetrized(h))
-    d2 = np.stack(blocks)
-    if not np.all(np.isfinite(d2)):
-        raise EvaluationDomainError(
-            f"second derivatives of {m.name or 'map'} non-finite at {theta}"
-        )
-    return d2
 
 
 # -- finite-difference oracle (validation only, never the implementation) ---

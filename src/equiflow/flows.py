@@ -20,7 +20,7 @@ from . import diffcalc
 from .diffcalc import ScalarField, VectorMap
 from .errors import ConfigurationError, SingularMatrixError
 from .geometry import Connection, OptimizerState, StateVelocity
-from .models import Dataset, GaussianHead, Model, check_dataset_dims, network_jacobian
+from .models import Dataset, Model, check_dataset_dims, check_noise_variance, network_jacobian
 
 # 1/xi terms are evaluated at max(xi, XI_MIN); trajectories start there too.
 XI_MIN = 1e-3
@@ -132,12 +132,12 @@ def ggn_matrix(
 
 
 def fisher_matrix(
-    head: GaussianHead, data: Dataset, theta, chart: Optional[VectorMap] = None
+    model: Model, data: Dataset, noise_variance: float, theta, chart: Optional[VectorMap] = None
 ) -> np.ndarray:
-    """Fisher information of the Gaussian head, realized as GGN with the
-    inverse noise variance on the diagonal; `chart` as in `ggn_matrix`."""
-    weight = np.eye(head.model.out_dim) / head.noise_variance
-    return ggn_matrix(head.model, data, weight, theta, chart)
+    """Fisher information of an isotropic Gaussian with the model's outputs as means:
+    the GGN form with weight I / noise_variance; `chart` as in `ggn_matrix`."""
+    check_noise_variance(noise_variance)
+    return ggn_matrix(model, data, np.eye(model.out_dim) / noise_variance, theta, chart)
 
 
 def _apply_inverse(matrix, vec, metadata):

@@ -7,9 +7,10 @@ family; their triangular structure gives an exact forward-substitution
 inverse and a unit-determinant Jacobian.  The other four are affine:
 `affine_diffeomorphism` sets `VectorMap.matrix` to A on the forward map and to
 A^-1 on the inverse map, so `diffcalc` reads their Jacobians and zero second
-derivatives off the matrix instead of running a dual pass.  Models are not
-pulled back here: `flows.ggn_matrix` takes a diffeomorphism's `inverse_map` as
-its chart.
+derivatives off the matrix instead of running a dual pass.  Derivatives of a
+map come only from `diffcalc`: the pushforwards and `pullback_connection` ask
+it for those of `forward_map` and `inverse_map`.  Models are not pulled back
+here: `flows.ggn_matrix` takes a diffeomorphism's `inverse_map` as its chart.
 """
 
 from __future__ import annotations
@@ -146,12 +147,6 @@ class Diffeomorphism:
 
     def inverse(self, theta_bar) -> np.ndarray:
         return self.inverse_map.value(theta_bar)
-
-    def jacobian(self, theta) -> np.ndarray:
-        return diffcalc.jacobian(self.forward_map, theta)
-
-    def inverse_second_derivatives(self, theta_bar) -> np.ndarray:
-        return diffcalc.second_derivatives(self.inverse_map, theta_bar)
 
 
 def affine_diffeomorphism(matrix, shift=None, family="affine", label="") -> Diffeomorphism:
@@ -363,7 +358,7 @@ def pushforward_state(g: Diffeomorphism, state: OptimizerState) -> OptimizerStat
     theta_bar = g.forward(state.theta)
     if state.order == 1:
         return OptimizerState(state.time, (theta_bar,))
-    jac = g.jacobian(state.theta)
+    jac = diffcalc.jacobian(g.forward_map, state.theta)
     return OptimizerState(state.time, (theta_bar, jac @ state.velocity))
 
 
@@ -374,7 +369,8 @@ def pushforward_tangent(
     if velocity.order != state.order:
         raise ConfigurationError("state and velocity orders differ")
     if state.order == 1:
-        return StateVelocity((g.jacobian(state.theta) @ velocity.dderivs[0],))
+        jac = diffcalc.jacobian(g.forward_map, state.theta)
+        return StateVelocity((jac @ velocity.dderivs[0],))
     u = state.velocity
     jac, d2 = diffcalc.jacobian_and_second_derivatives(g.forward_map, state.theta)
     quad = np.einsum("lij,i,j->l", d2, velocity.dderivs[0], u)
@@ -387,10 +383,10 @@ def pullback_connection(g: Diffeomorphism) -> Connection:
 
     def christoffel(theta_bar):
         theta = g.inverse(theta_bar)
-        jac_fwd = g.jacobian(theta)
+        jac_fwd = diffcalc.jacobian(g.forward_map, theta)
         if np.linalg.cond(jac_fwd) > MAX_CONDITION:
             raise SingularMatrixError("singular Jacobian in connection pullback", theta_bar)
-        d2_inv = g.inverse_second_derivatives(theta_bar)
+        d2_inv = diffcalc.second_derivatives(g.inverse_map, theta_bar)
         return np.einsum("kl,lij->kij", jac_fwd, d2_inv)
 
     return Connection(dim, christoffel)

@@ -33,6 +33,7 @@ from .flows import (
     FlowField,
     _newton_flow,
     adam_stationary_flow,
+    fisher_matrix,
     ggn_matrix,
     gradient_flow,
     nesterov_flow,
@@ -108,7 +109,14 @@ def check_thresholds(tolerance: float, violation_threshold: float) -> None:
         )
 
 
+def _check_known(kind: str, name: str, names) -> None:
+    if name not in names:
+        raise ConfigurationError(f"unknown {kind} {name!r}")
+
+
 def expected_verdict(algorithm: str, family: str) -> str:
+    _check_known("algorithm", algorithm, ALGORITHMS)
+    _check_known("family", family, FAMILIES)
     group = FLOW_RECIPES[algorithm].group
     return "equivariant" if family in _GROUP_FAMILIES[group] else "violated"
 
@@ -119,7 +127,7 @@ class FlowBuilder:
 
     Building with `reparam=None` yields the base-chart flow; building with a
     diffeomorphism yields the flow computed intrinsically in the barred
-    chart.  The Fisher is the GGN form with weight I / `noise_variance`.
+    chart.  A Fisher row's form is `fisher_matrix` at `noise_variance`.
     Building is deterministic, so repeated builds are identical.
 
     The builder keeps the last matrix its flow inverts, computed in the
@@ -142,8 +150,7 @@ class FlowBuilder:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.algorithm not in FLOW_RECIPES:
-            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
+        _check_known("algorithm", self.algorithm, ALGORITHMS)
         metric = FLOW_RECIPES[self.algorithm].metric
         if metric is not None and (self.model is None or self.data is None):
             raise ConfigurationError(
@@ -161,9 +168,11 @@ class FlowBuilder:
     def _precondition_fn(self, reparam: Optional[Diffeomorphism], metric: str):
         # In the barred chart the model reads its parameters through g^-1.
         chart = None if reparam is None else reparam.inverse_map
-        scale = self.noise_variance if metric == "fisher" else 1.0
-        weight = np.eye(self.model.out_dim) / scale
-        form_at = lambda theta: ggn_matrix(self.model, self.data, weight, theta, chart)
+        model, data = self.model, self.data
+        if metric == "fisher":
+            form_at = lambda theta: fisher_matrix(model, data, self.noise_variance, theta, chart)
+        else:
+            form_at = lambda theta: ggn_matrix(model, data, np.eye(model.out_dim), theta, chart)
         shared = self._shared(reparam, lambda theta: (form_at(theta),))
         return lambda theta: shared(theta)[0]
 
@@ -288,6 +297,8 @@ def _sample_state(
 
 def trial_rng(seed: int, dim: int, algorithm: str, family: str, trial: int):
     """The documented per-trial generator (PCG64 over a structured seed)."""
+    _check_known("algorithm", algorithm, ALGORITHMS)
+    _check_known("family", family, FAMILIES)
     return np.random.default_rng(
         [seed, dim, ALGORITHMS.index(algorithm), FAMILIES.index(family), trial]
     )
@@ -315,8 +326,7 @@ def classify_equivariance(
         raise ConfigurationError("states_per_trial must be >= 1")
     check_thresholds(tolerance, violation_threshold)
     for family in families:
-        if family not in FAMILIES:
-            raise ConfigurationError(f"unknown family {family!r}")
+        _check_known("family", family, FAMILIES)
         check_family_dim(family, builder.dim)
 
     base_flow = builder.build()

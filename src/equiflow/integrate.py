@@ -165,7 +165,7 @@ class DriftResult:
     scheme: str
     points: tuple  # (h, defect) for completed integrations
     diverged: tuple  # h values excluded from the fit
-    slope: float  # NaN when fewer than two defects are nonzero
+    slope: float  # NaN when fewer than two defects lie above their roundoff floor
 
 
 def equivariance_drift(
@@ -183,7 +183,10 @@ def equivariance_drift(
     measures the final-state mismatch in the barred chart.  Each h takes the
     `drift_step_counts` count of steps, so a p-th order scheme shows slope
     ~ p; the h list that rule refuses raises `ConfigurationError` before any
-    integration.
+    integration.  The slope is fitted to the defects above the a-priori
+    roundoff bound of `steps` rounded increments, steps * eps * max(1, |barred
+    final state|) (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4);
+    `points` keep every defect.
     """
     counts = drift_step_counts(h_list, horizon)
     base_flow = flow_builder.build()
@@ -192,6 +195,7 @@ def equivariance_drift(
 
     points = []
     diverged = []
+    usable = []
     for h, steps in zip(h_list, counts):
         try:
             base = _final(base_flow, start, h, steps, scheme)
@@ -202,8 +206,9 @@ def equivariance_drift(
         mapped = pushforward_state(g, base)
         defect = float(np.linalg.norm(mapped.as_vector() - barred.as_vector()))
         points.append((float(h), defect))
+        if defect > steps * np.finfo(float).eps * max(1.0, np.linalg.norm(barred.as_vector())):
+            usable.append(points[-1])
 
-    usable = [(h, d) for h, d in points if d > 0.0]
     if len(usable) >= 2:
         log_h = np.log([h for h, _ in usable])
         log_d = np.log([d for _, d in usable])

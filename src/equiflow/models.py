@@ -1,4 +1,4 @@
-"""Toy differentiable models, mean-squared-error losses, and Gaussian heads.
+"""Toy differentiable models and mean-squared-error losses.
 
 Models are small enough that the whole parameter vector fits in `DIM_CAP`;
 their forward maps are written with numpy operations only, so they evaluate
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diffcalc
 from .diffcalc import ScalarField, VectorMap
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EvaluationDomainError
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class Model:
     """A parametric map (x, theta) -> output vector.
 
     `forward` must be dual-safe: arithmetic on `theta` entries only via
-    numpy operations supported by `diffcalc.Dual2`.
+    numpy operations that `diffcalc`'s dual numbers support.
     """
 
     kind: str
@@ -68,17 +68,6 @@ class Model:
             raise ConfigurationError(
                 f"dimension cap exceeded: model has {self.param_dim} parameters"
             )
-
-
-@dataclass(frozen=True)
-class GaussianHead:
-    """Model output interpreted as the mean of an isotropic Gaussian."""
-
-    model: Model
-    noise_variance: float = 1.0
-
-    def __post_init__(self):
-        check_noise_variance(self.noise_variance)
 
 
 def check_noise_variance(noise_variance: float) -> None:
@@ -161,17 +150,21 @@ def network_jacobian(
 ) -> list[np.ndarray]:
     """Per-sample (out_dim, param_dim) Jacobians of the model outputs, in index order.
 
-    `theta` is seeded once.  With a `chart` theta_bar -> theta (a reparameterization's
-    inverse), `theta` is barred, entry k is the Jacobian of theta_bar -> forward(x_k,
-    chart(theta_bar)), and the chart maps the seeds once for all samples.
+    One `diffcalc.derivative_pass` reads every sample.  With a `chart` theta_bar -> theta
+    (a reparameterization's inverse), `theta` is barred, entry k is the Jacobian of
+    theta_bar -> forward(x_k, chart(theta_bar)), and the chart maps the seeds once.
     """
-    params = diffcalc.seed_duals(theta, order=1)
-    if chart is not None:
-        if (chart.in_dim, chart.out_dim) != (model.param_dim, model.param_dim):
-            raise ConfigurationError(f"chart dims do not match {model.param_dim} parameters")
-        params = chart.fn(params)
-    dims = (model.param_dim, model.out_dim, f"{model.kind} output")
-    return [diffcalc.jacobian_rows(model.forward(x, params), *dims, theta) for x in data.inputs]
+    if chart is not None and (chart.in_dim, chart.out_dim) != (model.param_dim,) * 2:
+        raise ConfigurationError(f"chart dims do not match {model.param_dim} parameters")
+
+    def outputs(params):
+        params = params if chart is None else chart.fn(params)
+        return [np.reshape(model.forward(x, params), model.out_dim) for x in data.inputs]
+
+    jac = diffcalc.derivative_pass(outputs, theta, order=1)[1]
+    if not np.all(np.isfinite(jac)):
+        raise EvaluationDomainError(f"jacobian of {model.kind} output non-finite at {theta}")
+    return list(jac)
 
 
 def quadratic_loss(matrix: np.ndarray, name: str = "quadratic") -> ScalarField:

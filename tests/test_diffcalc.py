@@ -1,4 +1,5 @@
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from equiflow import (
     sample_diffeomorphism,
     second_derivatives,
 )
+import equiflow
 from equiflow.diffcalc import Dual2, seed_duals
 from conftest import counting, tanh_unit_loss
 
@@ -339,3 +341,10 @@ class TestAffineMapCarriesItsMatrix:
     def test_rejects_a_matrix_that_is_not_finite_or_misshapen(self, matrix):
         with pytest.raises(ConfigurationError):
             VectorMap(2, 2, lambda t: t, matrix=matrix)
+
+
+def test_only_diffcalc_seeds_or_reads_dual_numbers():
+    for path in sorted(Path(equiflow.__file__).parent.glob("*.py")):
+        if path.name != "diffcalc.py":
+            text = path.read_text()
+            assert "seed_duals" not in text and "Dual2" not in text, path.name

@@ -5,7 +5,6 @@ from equiflow import (
     FAMILIES,
     ConfigurationError,
     Dataset,
-    GaussianHead,
     ScalarField,
     SingularMatrixError,
     VectorMap,
@@ -145,16 +144,14 @@ class TestNewtonFlow:
 class TestFisherAndGgn:
     def test_fisher_linear_by_hand(self):
         model = linear_model(1, 1)
-        head = GaussianHead(model, noise_variance=1.0)
         data = Dataset([[2.0]], [[0.0]])
-        form = fisher_matrix(head, data, [0.5])
+        form = fisher_matrix(model, data, 1.0, [0.5])
         assert np.allclose(form, [[4.0]])
 
     def test_zero_jacobian_gives_zero(self):
         model = quadratic_model(np.zeros((1, 2)))
-        head = GaussianHead(model, noise_variance=2.0)
         data = Dataset([[0.0]], [[1.0]])
-        assert np.allclose(fisher_matrix(head, data, [1.0, 1.0]), 0.0)
+        assert np.allclose(fisher_matrix(model, data, 2.0, [1.0, 1.0]), 0.0)
 
     def test_fisher_is_ggn_bit_identical(self):
         rng = np.random.default_rng(12)
@@ -166,7 +163,7 @@ class TestFisherAndGgn:
                 rng.uniform(-1, 1, (4, model.out_dim)),
             )
             theta = rng.uniform(-1, 1, model.param_dim)
-            fisher = fisher_matrix(GaussianHead(model, sigma2), data, theta)
+            fisher = fisher_matrix(model, data, sigma2, theta)
             ggn = ggn_matrix(model, data, np.eye(model.out_dim) / sigma2, theta)
             assert np.array_equal(fisher, ggn)
 
@@ -250,7 +247,7 @@ class TestGgnChart:
         model, data = default_recipe(4, seed=0, kind="mlp-tanh")
         g = canonical_shear(0.5, dim=4)
         theta_bar = g.forward([0.3, -0.2, 0.8, 0.1])
-        fisher = fisher_matrix(GaussianHead(model, 0.5), data, theta_bar, chart=g.inverse_map)
+        fisher = fisher_matrix(model, data, 0.5, theta_bar, chart=g.inverse_map)
         ggn = ggn_matrix(model, data, np.eye(1) / 0.5, theta_bar, chart=g.inverse_map)
         assert np.array_equal(fisher, ggn)
 
@@ -268,7 +265,6 @@ class TestFormContract:
     def forms(kind):
         """(loss, GGN, Fisher) at one point in the base chart and under one map per family."""
         model, data = default_recipe(4, seed=0, kind=kind)
-        head = GaussianHead(model, 0.5)
         loss = dataset_loss(model, data)
         rng = np.random.default_rng(9)
         for g in [None] + [sample_diffeomorphism(f, 4, rng) for f in FAMILIES]:
@@ -279,7 +275,7 @@ class TestFormContract:
             yield (
                 chart_loss,
                 ggn_matrix(model, data, np.eye(1), point, chart),
-                fisher_matrix(head, data, point, chart),
+                fisher_matrix(model, data, 0.5, point, chart),
             )
 
     @pytest.mark.parametrize("kind", ("linear", "mlp-tanh"))
@@ -384,7 +380,7 @@ class TestFlowInvariants:
             gradient_flow(loss),
             adam_stationary_flow(loss),
             newton_flow(loss),
-            gradient_flow(mse, lambda t: fisher_matrix(GaussianHead(model), data, t)),
+            gradient_flow(mse, lambda t: fisher_matrix(model, data, 1.0, t)),
         ]
         for flow in flows[:3]:
             assert np.linalg.norm(flow(state_order1([0.0, 0.0])).dderivs[0]) <= 1e-8

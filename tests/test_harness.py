@@ -10,7 +10,6 @@ from equiflow import (
     ConfigurationError,
     Dataset,
     FlowBuilder,
-    GaussianHead,
     ScalarField,
     SingularMatrixError,
     ToleranceGapError,
@@ -40,6 +39,7 @@ from equiflow import (
     state_order1,
     state_order2,
 )
+from equiflow.harness import trial_rng
 from conftest import identity
 
 
@@ -163,8 +163,7 @@ class TestInvertedMatrix:
             else:
                 chart = None if g is None else g.inverse_map
                 if algorithm in ("ngd", "nngd"):
-                    head = GaussianHead(model, builder.noise_variance)
-                    want = fisher_matrix(head, data, point, chart)
+                    want = fisher_matrix(model, data, builder.noise_variance, point, chart)
                 else:
                     want = ggn_matrix(model, data, np.eye(model.out_dim), point, chart)
             assert np.array_equal(matrix_fn(point), want), "base" if g is None else g.family
@@ -190,8 +189,7 @@ class TestSharedForm:
     def fresh(builder, theta, g):
         chart = None if g is None else g.inverse_map
         if builder.algorithm in ("ngd", "nngd"):
-            head = GaussianHead(builder.model, builder.noise_variance)
-            return fisher_matrix(head, builder.data, theta, chart)
+            return fisher_matrix(builder.model, builder.data, builder.noise_variance, theta, chart)
         return ggn_matrix(builder.model, builder.data, np.eye(1), theta, chart)
 
     @pytest.mark.parametrize("algorithm", ["ngd", "agn"])
@@ -339,9 +337,9 @@ class TestDamping:
 
     def test_nngd_is_nesterov_in_the_fisher_metric(self):
         builder = self.builder("nngd")
-        head = GaussianHead(builder.model, builder.noise_variance)
+        model, data, variance = builder.model, builder.data, builder.noise_variance
         flow = nesterov_flow(
-            builder.loss, lambda theta: fisher_matrix(head, builder.data, theta), r=5.0
+            builder.loss, lambda theta: fisher_matrix(model, data, variance, theta), r=5.0
         )
         state = state_order2([0.3, -0.2], [1.0, 0.5], time=0.8)
         assert np.array_equal(builder.build()(state).as_vector(), flow(state).as_vector())
@@ -376,6 +374,21 @@ class TestAlgorithmTable:
             "nngd": "Diff(M)",
             "agn": "Diff(M)",
         }
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: expected_verdict("gd", "conformal"),
+            lambda: expected_verdict("sgd", "shear"),
+            lambda: trial_rng(0, 2, "sgd", "shear", 0),
+            lambda: trial_rng(0, 2, "gd", "conformal", 0),
+        ],
+        ids=["verdict-family", "verdict-algorithm", "rng-algorithm", "rng-family"],
+    )
+    def test_unknown_name_is_refused_by_name(self, call):
+        name = "unknown (algorithm 'sgd'|family 'conformal')"
+        with pytest.raises(ConfigurationError, match=name):
+            call()
 
 
 class TestClassifyEquivariance:

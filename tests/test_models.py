@@ -5,10 +5,12 @@ from equiflow import (
     ConfigurationError,
     Dataset,
     EvaluationDomainError,
-    GaussianHead,
     Model,
+    VectorMap,
+    catalog,
     dataset_loss,
     default_recipe,
+    fisher_matrix,
     gradient,
     jacobian,
     linear_model,
@@ -109,6 +111,17 @@ class TestNetworkJacobian:
         for x, jac in zip(data.inputs, jacs):
             assert np.array_equal(jac, jacobian(output_map(model, x), theta))
 
+    @pytest.mark.parametrize("kind", ("linear", "mlp-tanh"))
+    def test_rows_equal_per_sample_jacobians_through_a_chart(self, kind):
+        model, data = default_recipe(8, seed=3, kind=kind)
+        chart = catalog("shear", 8, seed=4).inverse_map
+        theta_bar = np.random.default_rng(5).uniform(-1.5, 1.5, 8)
+        jacs = network_jacobian(model, data, theta_bar, chart=chart)
+        assert len(jacs) == data.size
+        for x, jac in zip(data.inputs, jacs):
+            through = VectorMap(8, model.out_dim, lambda t, x=x: model.forward(x, chart.fn(t)))
+            assert np.array_equal(jac, jacobian(through, theta_bar))
+
     def test_chart_composes_with_the_model(self):
         model = mlp_tanh(1, 1, 1)
         data = Dataset([[0.8], [-0.4]], [[0.0], [0.0]])
@@ -129,11 +142,12 @@ class TestNetworkJacobian:
                 network_jacobian(model, data, [1.0])
 
 
-class TestGaussianHead:
+class TestFisherMatrix:
     def test_positive_variance_required(self):
         model = linear_model(1, 1)
+        data = Dataset([[1.0]], [[0.0]])
         with pytest.raises(ConfigurationError):
-            GaussianHead(model, noise_variance=0.0)
+            fisher_matrix(model, data, 0.0, [1.0])
 
 
 class TestLoadDataset:
