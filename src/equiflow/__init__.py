@@ -79,7 +79,6 @@ from .models import (
     load_dataset,
     mlp_tanh,
     network_jacobian,
-    quadratic_loss,
 )
 
 __version__ = "0.1.0"

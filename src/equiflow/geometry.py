@@ -7,8 +7,10 @@ family; their triangular structure gives an exact forward-substitution
 inverse and a unit-determinant Jacobian.  The other four are affine:
 `affine_diffeomorphism` sets `VectorMap.matrix` to A on the forward map and to
 A^-1 on the inverse map, so `diffcalc` reads their Jacobians and zero second
-derivatives off the matrix instead of running a dual pass.  Derivatives of a
-map come only from `diffcalc`: the pushforwards and `pullback_connection` ask
+derivatives off the matrix instead of running a dual pass.  Each family is one
+row of `FAMILY_ROWS` (its matrix draw, least dimension and smallest named
+group), and `GROUPS` states which group directly contains which.  Derivatives of
+a map come only from `diffcalc`: the pushforwards and `pullback_connection` ask
 it for those of `forward_map` and `inverse_map`.  Models are not pulled back
 here: `flows.ggn_matrix` takes a diffeomorphism's `inverse_map` as its chart.
 """
@@ -17,15 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import diffcalc
 from .diffcalc import ScalarField, VectorMap
 from .errors import ConfigurationError, EvaluationDomainError, SingularMatrixError
-
-FAMILIES = ("translation", "euclidean", "signed-permutation", "affine", "shear")
 
 # Matrices whose inversion backs a transform are rejected beyond this.
 MAX_CONDITION = 1e12
@@ -278,62 +278,89 @@ def is_near_signed_permutation(matrix: np.ndarray, tol: float = 1e-3) -> bool:
     return bool(np.max(np.abs(matrix - snapped)) < tol)
 
 
-# At one parameter a shear is the identity and every rotation a signed permutation.
-_NEED_TWO_PARAMETERS = {
-    "euclidean": "a euclidean map needs dim >= 2; at dim {} every rotation is a signed permutation",
-    "shear": "a shear needs dim >= 2; at dim {} it is the identity",
+def _generic_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A random rotation that stays 1e-3 away from every signed permutation."""
+    for _ in range(64):
+        q = random_orthogonal(dim, rng)
+        if not is_near_signed_permutation(q):
+            return q
+    raise ConfigurationError(
+        f"no euclidean draw at dim {dim} stays away from the signed permutations"
+    )
+
+
+class Family(NamedTuple):
+    matrix: Optional[Callable]  # (dim, rng) -> A of an affine family; None for shear
+    group: str  # the smallest named group holding every member, a key of GROUPS
+    least_dim: int = 1
+    refusal: str = ""  # why a draw below least_dim is refused, given the dim
+
+
+# One row per family, in the order `harness.trial_rng` indexes them.
+FAMILY_ROWS = {
+    "translation": Family(lambda dim, rng: np.eye(dim), "T(N)"),
+    "euclidean": Family(_generic_rotation, "E(N)", 2, "a euclidean map needs dim >= 2; "
+                        "at dim {} every rotation is a signed permutation"),
+    "signed-permutation": Family(random_signed_permutation, "B_N x T(N)"),
+    "affine": Family(random_invertible, "Aff(N,R)"),
+    "shear": Family(None, "Diff(M)", 2, "a shear needs dim >= 2; at dim {} it is the identity"),
+}
+FAMILIES = tuple(FAMILY_ROWS)
+
+# Each named group, with the groups it directly contains.
+GROUPS = {
+    "T(N)": (),
+    "B_N x T(N)": ("T(N)",),
+    "E(N)": ("B_N x T(N)",),
+    "Aff(N,R)": ("E(N)",),
+    "Diff(M)": ("Aff(N,R)",),
 }
 
 
+def group_contains(group: str, sub: str) -> bool:
+    """Whether `group` contains `sub`, read off the direct containments in GROUPS."""
+    return group == sub or any(group_contains(inner, sub) for inner in GROUPS[group])
+
+
 def check_family_dim(family: str, dim: int) -> None:
-    """Refuse a family whose every member at `dim` parameters lies in a smaller family."""
-    if dim < 2 and family in _NEED_TWO_PARAMETERS:
-        raise ConfigurationError(_NEED_TWO_PARAMETERS[family].format(dim))
+    """Refuse an unknown family, a dim below 1, and a family whose every member
+    at `dim` parameters lies in a smaller family."""
+    if family not in FAMILY_ROWS:
+        raise ConfigurationError(f"unknown family {family!r}")
+    if dim < 1:
+        raise ConfigurationError(f"a {family} map needs dim >= 1; got dim {dim}")
+    row = FAMILY_ROWS[family]
+    if dim < row.least_dim:
+        raise ConfigurationError(row.refusal.format(dim))
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an integer >= 0, as `np.random.default_rng` needs."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def sample_diffeomorphism(
     family: str, dim: int, rng: np.random.Generator
 ) -> Diffeomorphism:
-    """Draw one catalog entry from the named family, after `check_family_dim`."""
+    """Draw one catalog entry from the named family's row, after `check_family_dim`."""
     check_family_dim(family, dim)
-    if family == "translation":
-        return translation(rng.uniform(-1.0, 1.0, size=dim))
-    if family == "euclidean":
-        # generic rotation: stays 1e-3 away from every signed permutation
-        for _ in range(64):
-            q = random_orthogonal(dim, rng)
-            if not is_near_signed_permutation(q):
-                break
-        else:
-            raise ConfigurationError(
-                f"no euclidean draw at dim {dim} stays away from the signed permutations"
-            )
+    draw = FAMILY_ROWS[family].matrix
+    if draw is not None:
         return affine_diffeomorphism(
-            q, rng.uniform(-1.0, 1.0, size=dim), family="euclidean"
+            draw(dim, rng), rng.uniform(-1.0, 1.0, size=dim), family=family
         )
-    if family == "signed-permutation":
-        return affine_diffeomorphism(
-            random_signed_permutation(dim, rng),
-            rng.uniform(-1.0, 1.0, size=dim),
-            family="signed-permutation",
-        )
-    if family == "affine":
-        return affine_diffeomorphism(
-            random_invertible(dim, rng), rng.uniform(-1.0, 1.0, size=dim)
-        )
-    if family == "shear":
-        coeffs = np.zeros((dim, dim))
-        for k in range(1, dim):
-            coeffs[k, :k] = rng.uniform(0.3, 0.8, size=k) * rng.choice(
-                [-1.0, 1.0], size=k
-            )
-        func = "sin" if rng.uniform() < 0.5 else "tanh"
-        return shear_diffeomorphism(coeffs, func=func)
-    raise ConfigurationError(f"unknown diffeomorphism family {family!r}")
+    coeffs = np.zeros((dim, dim))
+    for k in range(1, dim):
+        coeffs[k, :k] = rng.uniform(0.3, 0.8, size=k) * rng.choice([-1.0, 1.0], size=k)
+    func = "sin" if rng.uniform() < 0.5 else "tanh"
+    return shear_diffeomorphism(coeffs, func=func)
 
 
 def catalog(family: str, dim: int, seed: int) -> Diffeomorphism:
     """Catalog entry addressable by family name and seed."""
+    check_seed(seed)
+    check_family_dim(family, dim)  # before dim reaches the generator's seed
     return sample_diffeomorphism(family, dim, np.random.default_rng([seed, dim]))
 
 

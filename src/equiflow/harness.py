@@ -1,7 +1,8 @@
 """Naturality verdicts: residuals, per-family classification, summary table.
 
 Each algorithm is one row of `FLOW_RECIPES`: its dynamics, metric, connection
-and reference group, from which its expected verdicts are read.  A
+and reference group.  A cell's expected verdict is "equivariant" exactly when
+that group contains the family's group (`geometry.group_contains`).  A
 `FlowBuilder` builds a row's flow in the base chart or, given a
 reparameterization, intrinsically in the barred chart.  The naturality
 residual compares the pushed-forward flow value against the intrinsic barred
@@ -11,10 +12,10 @@ pre-check on the matrix the flow inverts in both charts; the pre-check and the
 flow evaluation that follows share one evaluation of that matrix per state and
 chart, whether it is a Fisher, GGN, Hessian or covariant Hessian.
 
-All randomness flows from one integer seed: every trial uses a PCG64
-generator seeded with SeedSequence([seed, dim, algorithm_index,
-family_index, trial_index]), and synthetic datasets, the built-in corpus
-included, with SeedSequence([seed, param_dim, 101]).
+All randomness flows from one integer seed >= 0 (`geometry.check_seed`): every
+trial uses a PCG64 generator seeded with SeedSequence([seed, dim,
+algorithm_index, family_index, trial_index]), and synthetic datasets, the
+built-in corpus included, with SeedSequence([seed, param_dim, 101]).
 """
 
 from __future__ import annotations
@@ -40,9 +41,12 @@ from .flows import (
 )
 from .geometry import (
     FAMILIES,
+    FAMILY_ROWS,
     Diffeomorphism,
     OptimizerState,
     check_family_dim,
+    check_seed,
+    group_contains,
     pullback_connection,
     pullback_loss,
     pushforward_state,
@@ -58,7 +62,7 @@ class FlowRecipe(NamedTuple):
     dynamics: str  # "gradient", "nesterov", "adam" or "newton"
     metric: Optional[str]  # None, "fisher" or "ggn"
     transported: bool  # whether the barred flow gets the transported connection
-    group: str  # reference equivariance group, a key of _GROUP_FAMILIES
+    group: str  # reference equivariance group, a key of geometry.GROUPS
 
 
 # One row per algorithm, in the order `trial_rng` indexes them.
@@ -91,14 +95,6 @@ STATE_BOX = 1.5
 STATE_MAX_CONDITION = 1e8
 STATE_MAX_TRIES = 100
 
-# The reparameterization families each reference group contains.
-_GROUP_FAMILIES = {
-    "E(N)": frozenset({"translation", "euclidean", "signed-permutation"}),
-    "B_N x T(N)": frozenset({"translation", "signed-permutation"}),
-    "Aff(N,R)": frozenset({"translation", "euclidean", "signed-permutation", "affine"}),
-    "Diff(M)": frozenset(FAMILIES),
-}
-
 
 def check_thresholds(tolerance: float, violation_threshold: float) -> None:
     """Refuse a tolerance that leaves no gap below the violation threshold."""
@@ -117,8 +113,8 @@ def _check_known(kind: str, name: str, names) -> None:
 def expected_verdict(algorithm: str, family: str) -> str:
     _check_known("algorithm", algorithm, ALGORITHMS)
     _check_known("family", family, FAMILIES)
-    group = FLOW_RECIPES[algorithm].group
-    return "equivariant" if family in _GROUP_FAMILIES[group] else "violated"
+    natural = group_contains(FLOW_RECIPES[algorithm].group, FAMILY_ROWS[family].group)
+    return "equivariant" if natural else "violated"
 
 
 @dataclass(frozen=True)
@@ -297,6 +293,7 @@ def _sample_state(
 
 def trial_rng(seed: int, dim: int, algorithm: str, family: str, trial: int):
     """The documented per-trial generator (PCG64 over a structured seed)."""
+    check_seed(seed)
     _check_known("algorithm", algorithm, ALGORITHMS)
     _check_known("family", family, FAMILIES)
     return np.random.default_rng(
@@ -315,8 +312,8 @@ def classify_equivariance(
 ) -> list[ResidualReport]:
     """Monte-Carlo membership verdicts for the given reparameterization families.
 
-    Every family is checked, by name and then by `check_family_dim`, before
-    the first trial.  Raises `ToleranceGapError` when a family's peak
+    Every family's name and dimension pass `check_family_dim` before the
+    first trial.  Raises `ToleranceGapError` when a family's peak
     residual falls between the tolerance and the violation threshold, so
     verdicts never rest on borderline roundoff.
     """
@@ -326,7 +323,6 @@ def classify_equivariance(
         raise ConfigurationError("states_per_trial must be >= 1")
     check_thresholds(tolerance, violation_threshold)
     for family in families:
-        _check_known("family", family, FAMILIES)
         check_family_dim(family, builder.dim)
 
     base_flow = builder.build()
@@ -403,6 +399,7 @@ def default_recipe(dim: int, seed: int = 0, kind: str = "linear") -> tuple[Model
 def synthetic_dataset(model: Model, size: int, seed: int) -> Dataset:
     """`size` samples for `model`: inputs uniform in [-1.5, 1.5], targets in
     [-1, 1], drawn from SeedSequence([seed, param_dim, 101])."""
+    check_seed(seed)
     rng = np.random.default_rng([seed, model.param_dim, 101])
     inputs = rng.uniform(-1.5, 1.5, size=(size, model.in_dim))
     targets = rng.uniform(-1.0, 1.0, size=(size, model.out_dim))

@@ -167,22 +167,6 @@ def network_jacobian(
     return list(jac)
 
 
-def quadratic_loss(matrix: np.ndarray, name: str = "quadratic") -> ScalarField:
-    """The field 1/2 theta^T A theta for a fixed symmetric matrix A."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ConfigurationError("quadratic loss needs a square matrix")
-
-    def fn(theta):
-        q = matrix @ np.asarray(theta)
-        acc = 0.0
-        for a, b in zip(np.asarray(theta), q):
-            acc = acc + a * b
-        return 0.5 * acc
-
-    return ScalarField(matrix.shape[0], fn, name=name)
-
-
 def load_dataset(path, in_dim: int, out_dim: int) -> Dataset:
     """Read a comma-separated file, one sample per line: inputs then targets."""
     try:

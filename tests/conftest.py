@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from equiflow import (
+    ConfigurationError,
     Connection,
     Dataset,
     Diffeomorphism,
@@ -17,7 +18,6 @@ from equiflow import (
     linear_model,
     mlp_tanh,
     pullback_loss,
-    quadratic_loss,
     shear_diffeomorphism,
 )
 
@@ -32,6 +32,22 @@ def invert(g):
     return Diffeomorphism(
         g.family, g.inverse_map, g.forward_map, label=f"{g.label or g.family}^-1"
     )
+
+
+def quadratic_loss(matrix, name="quadratic"):
+    """The field 1/2 theta^T A theta for a fixed symmetric matrix A."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ConfigurationError("quadratic loss needs a square matrix")
+
+    def fn(theta):
+        q = matrix @ np.asarray(theta)
+        acc = 0.0
+        for a, b in zip(np.asarray(theta), q):
+            acc = acc + a * b
+        return 0.5 * acc
+
+    return ScalarField(matrix.shape[0], fn, name=name)
 
 
 def canonical_shear(beta, dim=2, func="sin"):

@@ -31,7 +31,6 @@ from equiflow import (
     nesterov_flow,
     pullback_connection,
     pullback_loss,
-    quadratic_loss,
     reproduce_table,
     sample_diffeomorphism,
     second_derivatives,
@@ -39,7 +38,7 @@ from equiflow import (
     state_order2,
 )
 from equiflow.flows import XI_MIN
-from conftest import fd_scalar_corpus, fd_vector_corpus, transform_bilinear
+from conftest import fd_scalar_corpus, fd_vector_corpus, quadratic_loss, transform_bilinear
 
 
 def report(num, ok, detail):

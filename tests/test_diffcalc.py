@@ -23,13 +23,12 @@ from equiflow import (
     jacobian,
     jacobian_and_second_derivatives,
     pullback_loss,
-    quadratic_loss,
     sample_diffeomorphism,
     second_derivatives,
 )
 import equiflow
 from equiflow.diffcalc import Dual2, seed_duals
-from conftest import counting, tanh_unit_loss
+from conftest import counting, quadratic_loss, tanh_unit_loss
 
 
 def rel_err(got, want, floor=1e-8):

@@ -24,12 +24,17 @@ from equiflow import (
     newton_flow,
     pullback_connection,
     pullback_loss,
-    quadratic_loss,
     sample_diffeomorphism,
     state_order1,
     state_order2,
 )
-from conftest import canonical_shear, counting, flat_connection, quadratic_model
+from conftest import (
+    canonical_shear,
+    counting,
+    flat_connection,
+    quadratic_loss,
+    quadratic_model,
+)
 
 SPD = np.array([[2.0, 1.0], [1.0, 3.0]])
 

@@ -17,7 +17,6 @@ from equiflow import (
     pullback_loss,
     pushforward_state,
     pushforward_tangent,
-    quadratic_loss,
     sample_diffeomorphism,
     second_derivatives,
     state_order1,
@@ -29,7 +28,111 @@ from equiflow.geometry import (
     random_orthogonal,
     random_signed_permutation,
 )
-from conftest import canonical_shear, counting, identity, invert, transform_bilinear
+from conftest import (
+    canonical_shear,
+    counting,
+    identity,
+    invert,
+    quadratic_loss,
+    transform_bilinear,
+)
+
+
+# (forward, inverse) of catalog(family, n, seed) at DRAW_POINT[:n], recorded once.
+# A change in the draw order moves them by O(1).
+DRAW_POINT = np.array([0.3, -0.8, 1.1, 0.5])
+RECORDED_DRAWS = {
+    ("translation", 2, 0): ([-0.538351921653625, -0.995124416012826],
+                            [1.13835192165363, -0.604875583987174]),
+    ("translation", 2, 1): ([0.196830286664544, -0.938236024911325],
+                            [0.403169713335456, -0.661763975088675]),
+    ("translation", 2, 2): ([1.00126937446576, -0.114492185020733],
+                            [-0.401269374465764, -1.48550781497927]),
+    ("translation", 3, 0): ([1.08994548157968, -0.0791711264501249, 0.742749644675027],
+                            [-0.489945481579677, -1.52082887354988, 1.45725035532497]),
+    ("translation", 3, 1): ([-0.671862722446068, -1.52678359885654, 1.01190921781475],
+                            [1.27186272244607, -0.0732164011434633, 1.18809078218525]),
+    ("translation", 3, 2): ([0.00289384059104963, -0.785837533482134, 1.17696463289065],
+                            [0.59710615940895, -0.814162466517866, 1.02303536710935]),
+    ("translation", 4, 0): ([1.06614387121546, -1.34281465641084, 0.921293191426993, 0.393386561240295],
+                            [-0.466143871215458, -0.257185343589163, 1.27870680857301, 0.606613438759705]),
+    ("translation", 4, 1): ([0.0896503087149329, -0.0994449243941999, 1.94471959510613, 0.540976780778099],
+                            [0.510349691285067, -1.5005550756058, 0.25528040489387, 0.459023219221901]),
+    ("translation", 4, 2): ([0.333742886424712, -0.495719860263028, 0.757570797508699, 1.39483137258376],
+                            [0.266257113575288, -1.10428013973697, 1.4424292024913, -0.394831372583764]),
+    ("euclidean", 2, 0): ([-0.236498165919838, -1.01399646620036],
+                          [-0.158887569302496, -1.1507805130295]),
+    ("euclidean", 2, 1): ([0.00398000940083953, -1.46671407124536],
+                          [0.350840600893082, -0.0722976426232178]),
+    ("euclidean", 2, 2): ([0.716455427398732, -0.615247332755947],
+                          [-0.126419136124105, -0.960422540220582]),
+    ("euclidean", 3, 0): ([-0.71573274320796, -0.30073112421495, -0.747658319441251],
+                          [-1.74157974142206, -0.088720504348286, 1.24442063506782]),
+    ("euclidean", 3, 1): ([-1.68859580197778, 0.488191292616528, -0.352691627123215],
+                          [1.19363807563194, 0.531046201007336, -1.17024008291972]),
+    ("euclidean", 3, 2): ([-0.349065867379409, -1.35826382575152, 0.0215673479681726],
+                          [1.12239052515124, -1.20520499874459, 0.0726516085368263]),
+    ("euclidean", 4, 0): ([-0.0410799451083317, 1.23001665445512, 1.01414527489394, -1.37554175400412],
+                          [-0.73996649381043, 0.933948629622423, -0.168704090282861, -0.936876064258093]),
+    ("euclidean", 4, 1): ([-0.875240635298495, 0.120173546074808, -0.884096200340331, -0.490087958128608],
+                          [-1.18592489652737, 0.170639742253042, 0.452152551945678, -1.39076735202337]),
+    ("euclidean", 4, 2): ([-1.18148257566932, -0.194812592127475, 1.01908029095374, -0.196480141241155],
+                          [0.567551632217643, -0.539100033200121, 0.0476428923454048, -0.843713829840654]),
+    ("signed-permutation", 2, 0): ([-0.0974215875244681, 0.0902004704309551],
+                                   [-0.0974215875244681, 0.0902004704309551]),
+    ("signed-permutation", 2, 1): ([0.639998258784384, -0.145953246613736],
+                                   [-0.354046753386264, -0.460001741215616]),
+    ("signed-permutation", 2, 2): ([-1.03902402413992, -0.055359147457237],
+                                   [1.04464085254276, 0.539024024139917]),
+    ("signed-permutation", 3, 0): ([0.733749217065357, -1.20173198469911, 0.0769799539071412],
+                                   [-0.723020046092859, -0.398268015300894, 0.666250782934643]),
+    ("signed-permutation", 3, 1): ([1.12402644161643, -0.42635721325328, -1.60788079566611],
+                                   [-0.524026441616429, 1.90788079566611, 1.47364278674672]),
+    ("signed-permutation", 3, 2): ([0.439467851935436, -1.6670276438314, 0.473035939617439],
+                                   [0.926964060382561, 0.0670276438313959, 0.960532148064564]),
+    ("signed-permutation", 4, 0): ([1.64256461609897, 0.239167698916956, 0.678880594694998, 0.153075682383334],
+                                   [0.721119405305002, 0.239167698916956, -0.242564616098968, 0.153075682383334]),
+    ("signed-permutation", 4, 1): ([1.17214509121079, 1.28371872142808, -1.53188281746806, 1.11090870793777],
+                                   [-1.78371872142808, 1.83188281746806, 0.489091292062233, -0.37214509121079]),
+    ("signed-permutation", 4, 2): ([-0.616679001735801, -0.858633790551374, 0.257571195604497, -0.597414662273544],
+                                   [-0.542428804395503, 0.116679001735801, 1.04136620944863, -0.597414662273544]),
+    ("affine", 2, 0): ([-0.668903719445753, -0.879743291465225],
+                       [-0.288166912667366, -2.55766246608747]),
+    ("affine", 2, 1): ([-0.376649503494968, -0.555213240711813],
+                       [0.0566276444142046, -0.334217104984133]),
+    ("affine", 2, 2): ([-0.168996637329634, -1.05456533953875],
+                       [1.04343759029616, -0.647015636802551]),
+    ("affine", 3, 0): ([-0.488573914768983, -0.152398182881658, -2.57529681635806],
+                       [-0.521143772323626, 0.74163010433801, 0.715019838750862]),
+    ("affine", 3, 1): ([-2.04256911703528, 2.02332084026382, -0.911989724508778],
+                       [0.382254470196818, 0.290667564637686, -0.711177472234738]),
+    ("affine", 3, 2): ([0.290805789679284, -1.4407739594192, 2.14250950809447],
+                       [0.213802213545227, -0.703190594176322, 0.292246935112101]),
+    ("affine", 4, 0): ([1.44730321151384, 3.17097856204387, -0.937623663411605, -2.18070229673448],
+                       [-4.30831480256983, 0.269594842699588, 4.16569375592763, -1.85310743156847]),
+    ("affine", 4, 1): ([-0.174535140825534, -0.984935237335907, -2.15405530070062, -1.74060276626923],
+                       [-0.696381983248035, -0.363240258989193, 4.07747432228935, -5.3373157788616]),
+    ("affine", 4, 2): ([-1.64406339888509, 0.431924197904433, 2.81897966693558, 0.0185859225498015],
+                       [12.893507107745, -2.40578818219271, 4.81795624632552, -2.92266328682546]),
+    ("shear", 2, 0): ([0.3, -0.899166314735693],
+                      [0.3, -0.700833685264307]),
+    ("shear", 2, 1): ([0.3, -0.645086070087785],
+                      [0.3, -0.954913929912215]),
+    ("shear", 2, 2): ([0.3, -1.01434593128058],
+                      [0.3, -0.585654068719416]),
+    ("shear", 3, 0): ([0.3, -0.582247792668299, 0.929784826375812],
+                      [0.3, -1.0177522073317, 1.31831104229052]),
+    ("shear", 3, 1): ([0.3, -0.709265154482192, 1.48629798460904],
+                      [0.3, -0.890734845517808, 0.668207074248205]),
+    ("shear", 3, 2): ([0.3, -0.938584243980155, 1.01026131383422],
+                      [0.3, -0.661415756019845, 1.15712815826118]),
+    ("shear", 4, 0): ([0.3, -1.01601878000776, 1.30031436273073, 0.762230744091741],
+                      [0.3, -0.583981219992237, 0.972160632529669, 0.184753444597035]),
+    ("shear", 4, 1): ([0.3, -0.946995467603809, 1.72683862680679, 0.50590947615337],
+                      [0.3, -0.653004532396191, 0.534665295110426, 0.323432510041657]),
+    ("shear", 4, 2): ([0.3, -0.965029039856132, 1.79226146034943, 1.64336826703683],
+                      [0.3, -0.634970960143868, 0.503834567110936, -0.34305974922547]),
+}
 
 
 def rotation2d(angle):
@@ -238,11 +341,32 @@ class TestCatalog:
                 theta = rng.uniform(-2.0, 2.0, 4)
                 assert np.linalg.norm(g.inverse(g.forward(theta)) - theta) <= 1e-10
 
-    @pytest.mark.parametrize("family", ["euclidean", "shear"])
-    def test_degenerate_family_at_dim_one_refused(self, family):
-        # a 1-parameter shear is the identity, a 1x1 rotation a signed permutation
-        with pytest.raises(ConfigurationError, match="dim 1"):
-            sample_diffeomorphism(family, 1, np.random.default_rng(0))
+    @pytest.mark.parametrize(
+        "family, dim",
+        [pytest.param(f, 1, id=f) for f in ("euclidean", "shear")]
+        + [pytest.param(f, d, id=f"{f}-dim{d}") for f in FAMILIES for d in (0, -1)],
+    )
+    def test_degenerate_family_at_dim_one_refused(self, family, dim):
+        # a 1-parameter shear is the identity, a 1x1 rotation a signed permutation,
+        # and no family has members below one parameter
+        draws = (
+            lambda: sample_diffeomorphism(family, dim, np.random.default_rng(0)),
+            lambda: catalog(family, dim, 0),
+        )
+        for draw in draws:
+            with pytest.raises(ConfigurationError, match=f"dim {dim}"):
+                draw()
+
+    def test_unknown_family_is_refused_by_name(self):
+        with pytest.raises(ConfigurationError, match="unknown family 'conformal'"):
+            sample_diffeomorphism("conformal", 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("family, n, seed", list(RECORDED_DRAWS))
+    def test_draws_are_unchanged(self, family, n, seed):
+        g = catalog(family, n, seed)
+        forward, inverse = RECORDED_DRAWS[family, n, seed]
+        assert np.max(np.abs(g.forward(DRAW_POINT[:n]) - forward)) <= 1e-12
+        assert np.max(np.abs(g.inverse(DRAW_POINT[:n]) - inverse)) <= 1e-12
 
     def test_sampler_properties(self):
         rng = np.random.default_rng(11)

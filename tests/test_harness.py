@@ -14,6 +14,7 @@ from equiflow import (
     SingularMatrixError,
     ToleranceGapError,
     affine_diffeomorphism,
+    catalog,
     classify_equivariance,
     compose,
     dataset_loss,
@@ -31,16 +32,17 @@ from equiflow import (
     newton_flow,
     pullback_connection,
     pullback_loss,
-    quadratic_loss,
     render_reports_text,
     render_table_text,
     reproduce_table,
     sample_diffeomorphism,
     state_order1,
     state_order2,
+    synthetic_dataset,
 )
-from equiflow.harness import trial_rng
-from conftest import identity
+from equiflow.geometry import FAMILY_ROWS, GROUPS
+from equiflow.harness import FLOW_RECIPES, trial_rng
+from conftest import identity, quadratic_loss
 
 
 class TestNaturalityResidual:
@@ -389,6 +391,54 @@ class TestAlgorithmTable:
         name = "unknown (algorithm 'sgd'|family 'conformal')"
         with pytest.raises(ConfigurationError, match=name):
             call()
+
+
+class TestFamilyTable:
+    """`trial_rng` indexes families by their order, and each family's group
+    decides its column of expected verdicts."""
+
+    def test_order(self):
+        assert FAMILIES == ("translation", "euclidean", "signed-permutation", "affine", "shear")
+
+    def test_every_group_is_a_key_of_groups(self):
+        named = {recipe.group for recipe in FLOW_RECIPES.values()}
+        named |= {row.group for row in FAMILY_ROWS.values()}
+        assert named <= set(GROUPS)
+
+    def test_expected_matrix(self):
+        # columns: translation, euclidean, signed-permutation, affine, shear
+        E, V = "equivariant", "violated"
+        matrix = {
+            "gd": (E, E, E, V, V),
+            "nesterov": (E, E, E, V, V),
+            "adam": (E, V, E, V, V),
+            "newton": (E, E, E, E, V),
+            "newton-covariant": (E, E, E, E, E),
+            "ngd": (E, E, E, E, E),
+            "ggn": (E, E, E, E, E),
+            "nngd": (E, E, E, E, E),
+            "agn": (E, E, E, E, E),
+        }
+        assert {a: tuple(expected_verdict(a, f) for f in FAMILIES) for a in ALGORITHMS} == matrix
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: trial_rng(seed, 2, "gd", "shear", 0),
+        lambda seed: catalog("shear", 2, seed),
+        lambda seed: default_recipe(2, seed=seed),
+        lambda seed: synthetic_dataset(linear_model(2, 1), 4, seed),
+        lambda seed: reproduce_table(
+            dims=(2,), algorithms=("gd",), families=("shear",), trials_per_family=1, seed=seed
+        ),
+    ],
+    ids=["trial_rng", "catalog", "default_recipe", "synthetic_dataset", "reproduce_table"],
+)
+def test_bad_seed_is_refused_by_value(call, seed):
+    with pytest.raises(ConfigurationError, match=f"non-negative integer, got {seed}$"):
+        call(seed)
 
 
 class TestClassifyEquivariance:

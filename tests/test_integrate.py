@@ -11,13 +11,14 @@ from equiflow import (
     equivariance_drift,
     gradient_flow,
     integrate,
-    quadratic_loss,
     sample_diffeomorphism,
     state_order1,
     trajectory_csv_text,
 )
 from equiflow.harness import FlowBuilder
 from equiflow.integrate import MAX_STEPS, drift_step_counts
+
+from conftest import quadratic_loss
 
 
 class TestIntegrate:
