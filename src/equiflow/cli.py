@@ -32,7 +32,7 @@ import numpy as np
 from .diffcalc import DIM_CAP
 from .errors import ConfigurationError, EquiflowError
 from .flows import XI_MIN
-from .geometry import FAMILIES, catalog, check_family_dim, state_order1, state_order2
+from .geometry import FAMILIES, catalog, check_family_dim, check_seed, state_order1, state_order2
 from .harness import (
     ALGORITHMS,
     EQUIVARIANCE_TOLERANCE,
@@ -76,9 +76,17 @@ def _is_positive_number(value) -> bool:
     return _is_number(value) and value > 0
 
 
-def _is_seed(value) -> bool:
-    """A non-negative JSON integer, as `np.random.default_rng` takes."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _passes(check: Callable) -> Callable:
+    """value -> whether the library `check` accepts it without a ConfigurationError."""
+
+    def accepts(value) -> bool:
+        try:
+            check(value)
+        except ConfigurationError:
+            return False
+        return True
+
+    return accepts
 
 
 def _is_count(value) -> bool:
@@ -109,7 +117,8 @@ class Key:
 KEYS = {
     # every experiment
     "experiment": Key("table", _one_of(EXPERIMENTS), f"one of {EXPERIMENTS}"),
-    "seed": Key(0, _is_seed, "a non-negative integer"),  # trial draws, synthetic data, theta0
+    # trial draws, synthetic data, theta0
+    "seed": Key(0, _passes(check_seed), "a non-negative integer"),
     "dims": Key(  # drift and trajectory use the first entry; a model recipe replaces them
         list(TABLE_DIMS), _list_of(_is_count, True), "a non-empty list of positive integers"
     ),
@@ -231,8 +240,7 @@ def validate(config: dict) -> list[Diagnostic]:
     if ok["diffeo"]:
         unknown_fields("diffeo", config["diffeo"], "diffeo")
         diffeo_seed = config["diffeo"].get("seed", DEFAULTS["diffeo"]["seed"])
-        if not _is_seed(diffeo_seed):
-            fatal(f"diffeo seed must be a non-negative integer, got {diffeo_seed!r}")
+        refused(check_seed, diffeo_seed, "diffeo seed")
 
     dim = dims[0] if dims else None  # the parameter count drift and trajectory use
     model_cfg, model = config.get("model"), None

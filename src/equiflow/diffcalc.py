@@ -21,7 +21,11 @@ Jacobian and the all-zero second derivatives off the matrix and never call
 `fn`.  The result equals the dual pass bit for bit, signs of zero included:
 that pass sums signed zeros along each row, so row k's zeros (in J and in all
 of D[k]) are -0.0 exactly when every entry of row k has its sign bit set.
-Chart passes, composites and shears carry no matrix and stay on `Dual2`.
+
+A function read through a chart is a `Pullback(fn, chart)`.  `derivative_pass`
+seeds it at an affine chart's image (values from `chart.fn` on Python floats, a
+row of J and its signed zero per seed), so the chart never sees a dual and the
+bits are those of mapping the seeds.  Shears and composites map the seeds.
 
 Everything here assumes dense linear algebra and parameter dimension at most
 `DIM_CAP`.
@@ -43,6 +47,9 @@ DIM_CAP = 16
 
 # Central-difference step used by the validation oracle.
 FD_STEP = 1e-5
+
+# Scalar operands `Dual2` tests for before the slower `numbers.Real` ABC.
+_PLAIN = (float, int)
 
 
 class Dual2:
@@ -75,7 +82,7 @@ class Dual2:
         if isinstance(other, Dual2):
             h = None if self.h is None else self.h + other.h
             return Dual2(self.v + other.v, self.g + other.g, h)
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _PLAIN) or isinstance(other, numbers.Real):
             return Dual2(self.v + other, self.g, self.h)
         return NotImplemented
 
@@ -85,12 +92,12 @@ class Dual2:
         if isinstance(other, Dual2):
             h = None if self.h is None else self.h - other.h
             return Dual2(self.v - other.v, self.g - other.g, h)
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _PLAIN) or isinstance(other, numbers.Real):
             return Dual2(self.v - other, self.g, self.h)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _PLAIN) or isinstance(other, numbers.Real):
             h = None if self.h is None else -self.h
             return Dual2(other - self.v, -self.g, h)
         return NotImplemented
@@ -108,7 +115,7 @@ class Dual2:
             return Dual2(
                 self.v * other.v, self.g * other.v + other.g * self.v, h
             )
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _PLAIN) or isinstance(other, numbers.Real):
             h = None if self.h is None else self.h * other
             return Dual2(self.v * other, self.g * other, h)
         return NotImplemented
@@ -118,17 +125,17 @@ class Dual2:
     def __truediv__(self, other):
         if isinstance(other, Dual2):
             return self * other._reciprocal()
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _PLAIN) or isinstance(other, numbers.Real):
             return self * (1.0 / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _PLAIN) or isinstance(other, numbers.Real):
             return self._reciprocal() * other
         return NotImplemented
 
     def __pow__(self, power):
-        if not isinstance(power, numbers.Real):
+        if not (isinstance(power, _PLAIN) or isinstance(power, numbers.Real)):
             return NotImplemented
         if power == 0:
             return self._chain(1.0, 0.0, 0.0)
@@ -236,7 +243,7 @@ class VectorMap:
     (out_dim, in_dim) Jacobian, kept read-only.  The engine then reads J =
     matrix and D = 0 off it without calling `fn`, each row's zeros signed as
     the dual pass signs them: -0.0 when every entry of that row has its sign
-    bit set.
+    bit set.  Both are computed once, when the map is made.
     """
 
     in_dim: int
@@ -244,6 +251,7 @@ class VectorMap:
     fn: Callable
     name: str = ""
     matrix: np.ndarray | None = field(default=None, compare=False)
+    _parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.in_dim <= DIM_CAP or not 1 <= self.out_dim <= DIM_CAP:
@@ -259,6 +267,7 @@ class VectorMap:
                 )
             matrix.setflags(write=False)
             object.__setattr__(self, "matrix", matrix)
+            object.__setattr__(self, "_parts", _affine_parts(matrix))
 
     def value(self, theta) -> np.ndarray:
         out = np.asarray(self.fn(np.asarray(theta, dtype=float)), dtype=float)
@@ -273,14 +282,31 @@ class VectorMap:
         return self.value(theta)
 
 
+@dataclass(frozen=True)
+class Pullback:
+    """theta -> fn(chart.fn(theta)); `derivative_pass` reads the chart as data."""
+
+    fn: Callable
+    chart: VectorMap
+
+    def __call__(self, theta):
+        return self.fn(self.chart.fn(theta))
+
+
+def _duals(values, grads, zeros, order: int) -> np.ndarray:
+    """Object array of `Dual2`: entry i has values[i], grads[i] and, at order 2,
+    the scalar Hessian zeros[i]."""
+    seeds = np.empty(len(grads), dtype=object)
+    for i, grad in enumerate(grads):
+        seeds[i] = Dual2(values[i], grad, float(zeros[i]) if order == 2 else None)
+    return seeds
+
+
 def seed_duals(theta, order: int) -> np.ndarray:
     """Object array of `Dual2` seeds at `theta`: entry i carries the unit
     gradient e_i, and the scalar zero Hessian when `order` is 2."""
     theta = np.asarray(theta, dtype=float)
-    seeds = np.empty(theta.shape[0], dtype=object)
-    for i, unit in enumerate(np.eye(theta.shape[0])):
-        seeds[i] = Dual2(theta[i], unit, 0.0 if order == 2 else None)
-    return seeds
+    return _duals(theta, np.eye(theta.shape[0]), np.zeros(theta.shape[0]), order)
 
 
 def derivative_pass(fn: Callable, theta, order: int):
@@ -288,9 +314,16 @@ def derivative_pass(fn: Callable, theta, order: int):
 
     For outputs of shape s the shapes are s, s + (n,) and s + (n, n), each (n, n)
     block exactly symmetrized; `second` is None at order 1.  A plain-number
-    output has zero derivatives.  Nothing is checked for finiteness."""
+    output has zero derivatives.  Nothing is checked for finiteness.  A
+    `Pullback` through an affine chart is seeded at the chart's image."""
     n = np.shape(theta)[0]
-    outs = np.asarray(fn(seed_duals(theta, order)), dtype=object)
+    if isinstance(fn, Pullback) and fn.chart.matrix is not None:
+        jac, d2 = fn.chart._parts
+        values = fn.chart.fn(np.asarray(theta, dtype=float).astype(object))
+        fn, seeds = fn.fn, _duals(values, jac, d2[:, 0, 0], order)
+    else:
+        seeds = seed_duals(theta, order)
+    outs = np.asarray(fn(seeds), dtype=object)
     values = np.zeros(outs.shape)
     first = np.zeros(outs.shape + (n,))
     second = np.zeros(outs.shape + (n, n)) if order == 2 else None
@@ -344,7 +377,7 @@ def _affine_parts(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def jacobian(m: VectorMap, theta) -> np.ndarray:
     """(out_dim, in_dim) matrix of first partials of `m` at `theta`."""
     if m.matrix is not None:
-        return _affine_parts(m.matrix)[0]
+        return m._parts[0].copy()
     jac = derivative_pass(m.fn, theta, order=1)[1].reshape(m.out_dim, -1)
     _finite(jac, "jacobian", m.name or "map", theta)
     return jac
@@ -354,7 +387,7 @@ def jacobian_and_second_derivatives(m: VectorMap, theta) -> tuple[np.ndarray, np
     """(`jacobian`, `second_derivatives`) of `m` at `theta` from one order-2
     pass; the Jacobian equals `jacobian(m, theta)` bit for bit."""
     if m.matrix is not None:
-        return _affine_parts(m.matrix)
+        return m._parts[0].copy(), m._parts[1].copy()
     _, jac, d2 = derivative_pass(m.fn, theta, order=2)
     jac, d2 = jac.reshape(m.out_dim, -1), d2.reshape(m.out_dim, *d2.shape[-2:])
     _finite(jac, "jacobian", m.name or "map", theta)

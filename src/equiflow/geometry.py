@@ -11,8 +11,10 @@ derivatives off the matrix instead of running a dual pass.  Each family is one
 row of `FAMILY_ROWS` (its matrix draw, least dimension and smallest named
 group), and `GROUPS` states which group directly contains which.  Derivatives of
 a map come only from `diffcalc`: the pushforwards and `pullback_connection` ask
-it for those of `forward_map` and `inverse_map`.  Models are not pulled back
-here: `flows.ggn_matrix` takes a diffeomorphism's `inverse_map` as its chart.
+it for those of `forward_map` and `inverse_map`.  `pullback_loss`'s `fn` is a
+`diffcalc.Pullback` through `inverse_map`, and an affine map's connection is
+constant, computed once.  Models are not pulled back here: `flows.ggn_matrix`
+takes a diffeomorphism's `inverse_map` as its chart.
 """
 
 from __future__ import annotations
@@ -322,11 +324,18 @@ def group_contains(group: str, sub: str) -> bool:
     return group == sub or any(group_contains(inner, sub) for inner in GROUPS[group])
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a boolean is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_family_dim(family: str, dim: int) -> None:
-    """Refuse an unknown family, a dim below 1, and a family whose every member
-    at `dim` parameters lies in a smaller family."""
+    """Refuse an unknown family, a dim that is not an integer >= 1, and a family
+    whose every member at `dim` parameters lies in a smaller family."""
     if family not in FAMILY_ROWS:
         raise ConfigurationError(f"unknown family {family!r}")
+    if not _is_integer(dim):
+        raise ConfigurationError(f"a {family} map needs an integer dim, got {dim!r}")
     if dim < 1:
         raise ConfigurationError(f"a {family} map needs dim >= 1; got dim {dim}")
     row = FAMILY_ROWS[family]
@@ -334,10 +343,16 @@ def check_family_dim(family: str, dim: int) -> None:
         raise ConfigurationError(row.refusal.format(dim))
 
 
-def check_seed(seed) -> None:
+def check_count(value, what: str, least: int = 0) -> None:
+    """Refuse a `what` that is not an integer >= `least`, which is 0 or 1."""
+    if not _is_integer(value) or value < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ConfigurationError(f"{what} must be a {kind} integer, got {value!r}")
+
+
+def check_seed(seed, what: str = "seed") -> None:
     """Refuse a seed that is not an integer >= 0, as `np.random.default_rng` needs."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
+    check_count(seed, what)
 
 
 def sample_diffeomorphism(
@@ -375,7 +390,7 @@ def pullback_loss(g: Diffeomorphism, loss: ScalarField) -> ScalarField:
         raise ConfigurationError("diffeomorphism and loss dimensions differ")
     return ScalarField(
         loss.dim,
-        lambda tbar: loss.fn(g.inverse_map.fn(tbar)),
+        diffcalc.Pullback(loss.fn, g.inverse_map),
         name=f"{loss.name or 'loss'}|{g.label or g.family}",
     )
 
@@ -405,15 +420,22 @@ def pushforward_tangent(
 
 
 def pullback_connection(g: Diffeomorphism) -> Connection:
-    """The flat connection of the unbarred chart, expressed in barred coordinates."""
-    dim = g.dim
+    """The flat connection of the unbarred chart, expressed in barred coordinates;
+    for an affine g a constant, computed and checked once, then copied."""
+    affine = g.forward_map.matrix is not None and g.inverse_map.matrix is not None
+    constant = []
 
     def christoffel(theta_bar):
         theta = g.inverse(theta_bar)
+        if constant:
+            return constant[0].copy()
         jac_fwd = diffcalc.jacobian(g.forward_map, theta)
         if np.linalg.cond(jac_fwd) > MAX_CONDITION:
             raise SingularMatrixError("singular Jacobian in connection pullback", theta_bar)
         d2_inv = diffcalc.second_derivatives(g.inverse_map, theta_bar)
-        return np.einsum("kl,lij->kij", jac_fwd, d2_inv)
+        gamma = np.einsum("kl,lij->kij", jac_fwd, d2_inv)
+        if affine:
+            constant.append(gamma.copy())
+        return gamma
 
-    return Connection(dim, christoffel)
+    return Connection(g.dim, christoffel)

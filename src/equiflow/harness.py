@@ -44,6 +44,7 @@ from .geometry import (
     FAMILY_ROWS,
     Diffeomorphism,
     OptimizerState,
+    check_count,
     check_family_dim,
     check_seed,
     group_contains,
@@ -294,6 +295,8 @@ def _sample_state(
 def trial_rng(seed: int, dim: int, algorithm: str, family: str, trial: int):
     """The documented per-trial generator (PCG64 over a structured seed)."""
     check_seed(seed)
+    check_count(dim, "dim")
+    check_count(trial, "trial")
     _check_known("algorithm", algorithm, ALGORITHMS)
     _check_known("family", family, FAMILIES)
     return np.random.default_rng(
@@ -317,10 +320,8 @@ def classify_equivariance(
     residual falls between the tolerance and the violation threshold, so
     verdicts never rest on borderline roundoff.
     """
-    if trials_per_family < 1:
-        raise ConfigurationError("trials_per_family must be >= 1")
-    if states_per_trial < 1:
-        raise ConfigurationError("states_per_trial must be >= 1")
+    check_count(trials_per_family, "trials_per_family", least=1)
+    check_count(states_per_trial, "states_per_trial", least=1)
     check_thresholds(tolerance, violation_threshold)
     for family in families:
         check_family_dim(family, builder.dim)

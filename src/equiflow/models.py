@@ -152,16 +152,18 @@ def network_jacobian(
 
     One `diffcalc.derivative_pass` reads every sample.  With a `chart` theta_bar -> theta
     (a reparameterization's inverse), `theta` is barred, entry k is the Jacobian of
-    theta_bar -> forward(x_k, chart(theta_bar)), and the chart maps the seeds once.
+    theta_bar -> forward(x_k, chart(theta_bar)), and the pass reads the outputs as a
+    `diffcalc.Pullback` through the chart: an affine chart seeds from its matrix, any
+    other maps the seeds once.
     """
     if chart is not None and (chart.in_dim, chart.out_dim) != (model.param_dim,) * 2:
         raise ConfigurationError(f"chart dims do not match {model.param_dim} parameters")
 
     def outputs(params):
-        params = params if chart is None else chart.fn(params)
         return [np.reshape(model.forward(x, params), model.out_dim) for x in data.inputs]
 
-    jac = diffcalc.derivative_pass(outputs, theta, order=1)[1]
+    fn = outputs if chart is None else diffcalc.Pullback(outputs, chart)
+    jac = diffcalc.derivative_pass(fn, theta, order=1)[1]
     if not np.all(np.isfinite(jac)):
         raise EvaluationDomainError(f"jacobian of {model.kind} output non-finite at {theta}")
     return list(jac)

@@ -20,6 +20,11 @@ from equiflow import (
     pullback_loss,
     shear_diffeomorphism,
 )
+from equiflow.geometry import FAMILY_ROWS
+
+
+# The families whose maps are affine and carry their matrix.
+AFFINE_FAMILIES = [name for name, row in FAMILY_ROWS.items() if row.matrix is not None]
 
 
 def identity(dim):
@@ -89,6 +94,14 @@ def output_map(model, x):
         return model.forward(x, theta)
 
     return VectorMap(model.param_dim, model.out_dim, fn, name=f"{model.kind} output")
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and entries, signs of zero included (`np.array_equal` treats
+    -0.0 and 0.0 as equal)."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def counting(field):

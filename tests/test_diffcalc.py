@@ -28,7 +28,7 @@ from equiflow import (
 )
 import equiflow
 from equiflow.diffcalc import Dual2, seed_duals
-from conftest import counting, quadratic_loss, tanh_unit_loss
+from conftest import assert_same_bits, counting, quadratic_loss, tanh_unit_loss
 
 
 def rel_err(got, want, floor=1e-8):
@@ -196,12 +196,6 @@ def zero_matrix_seeds(theta):
 
 def symmetrized(h):
     return 0.5 * (h + h.T)
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def sampled_map(family, dim, salt=""):

@@ -5,6 +5,7 @@ from equiflow import (
     FAMILIES,
     ConfigurationError,
     Diffeomorphism,
+    EvaluationDomainError,
     StateVelocity,
     affine_diffeomorphism,
     catalog,
@@ -29,6 +30,8 @@ from equiflow.geometry import (
     random_signed_permutation,
 )
 from conftest import (
+    AFFINE_FAMILIES,
+    assert_same_bits,
     canonical_shear,
     counting,
     identity,
@@ -312,6 +315,23 @@ class TestPullbackConnection:
         want = np.zeros((2, 2, 2))
         want[1, 0, 0] = beta * np.sin(theta_bar[0])
         assert np.allclose(gamma, want, atol=1e-12)
+
+    @pytest.mark.parametrize("family", AFFINE_FAMILIES)
+    def test_affine_connection_is_computed_once_and_copied(self, family):
+        g = catalog(family, 4, seed=6)
+        connection = pullback_connection(g)
+        for theta_bar in np.random.default_rng(7).uniform(-1.5, 1.5, (3, 4)):
+            fresh = np.einsum(
+                "kl,lij->kij",
+                jacobian(g.forward_map, g.inverse(theta_bar)),
+                second_derivatives(g.inverse_map, theta_bar),
+            )
+            gamma = connection.christoffel_at(theta_bar)
+            assert_same_bits(gamma, fresh)
+            gamma[0, 0, 0] = 99.0
+            assert_same_bits(connection.christoffel_at(theta_bar), fresh)
+        with pytest.raises(EvaluationDomainError):
+            connection.christoffel_at([0.1, np.nan, 0.2, 0.3])
 
     def test_identity_composition_unchanged(self):
         g = canonical_shear(0.4)

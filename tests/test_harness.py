@@ -441,6 +441,40 @@ def test_bad_seed_is_refused_by_value(call, seed):
         call(seed)
 
 
+def classify_gd(**counts):
+    return classify_equivariance(default_flow_builder("gd", 2), **counts)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: catalog("affine", 2.5, 0), 2.5),
+        (lambda: catalog("affine", True, 0), True),
+        (lambda: trial_rng(0, -1, "gd", "shear", 0), -1),
+        (lambda: trial_rng(0, 2.5, "gd", "shear", 0), 2.5),
+        (lambda: trial_rng(0, 2, "gd", "shear", -1), -1),
+        (lambda: trial_rng(0, 2, "gd", "shear", 1.5), 1.5),
+        (lambda: classify_gd(trials_per_family=1.5), 1.5),
+        (lambda: classify_gd(trials_per_family=True), True),
+        (lambda: classify_gd(states_per_trial=1.5), 1.5),
+    ],
+    ids=[
+        "catalog-fractional-dim",
+        "catalog-boolean-dim",
+        "trial_rng-negative-dim",
+        "trial_rng-fractional-dim",
+        "trial_rng-negative-trial",
+        "trial_rng-fractional-trial",
+        "classify-fractional-trials",
+        "classify-boolean-trials",
+        "classify-fractional-states",
+    ],
+)
+def test_malformed_count_is_refused_by_value(call, value):
+    with pytest.raises(ConfigurationError, match=f"got {value}$"):
+        call()
+
+
 class TestClassifyEquivariance:
     def test_expected_matrix_dim2(self):
         for algorithm in ("gd", "adam", "newton", "ngd"):

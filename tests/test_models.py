@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from equiflow import (
+    FAMILIES,
     ConfigurationError,
     Dataset,
+    Diffeomorphism,
     EvaluationDomainError,
     Model,
     VectorMap,
@@ -12,13 +16,22 @@ from equiflow import (
     default_recipe,
     fisher_matrix,
     gradient,
+    gradient_and_hessian,
     jacobian,
     linear_model,
     load_dataset,
     mlp_tanh,
     network_jacobian,
+    pullback_loss,
 )
-from conftest import canonical_shear, output_map, quadratic_model
+from equiflow.diffcalc import Dual2
+from conftest import (
+    AFFINE_FAMILIES,
+    assert_same_bits,
+    canonical_shear,
+    output_map,
+    quadratic_model,
+)
 
 
 class TestDatasetLoss:
@@ -111,16 +124,36 @@ class TestNetworkJacobian:
         for x, jac in zip(data.inputs, jacs):
             assert np.array_equal(jac, jacobian(output_map(model, x), theta))
 
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("kind", ("linear", "mlp-tanh"))
-    def test_rows_equal_per_sample_jacobians_through_a_chart(self, kind):
+    def test_rows_equal_per_sample_jacobians_through_a_chart(self, kind, family):
+        # an affine chart seeds from its matrix; the map below, which carries
+        # none, runs the chart on duals
         model, data = default_recipe(8, seed=3, kind=kind)
-        chart = catalog("shear", 8, seed=4).inverse_map
+        chart = catalog(family, 8, seed=4).inverse_map
         theta_bar = np.random.default_rng(5).uniform(-1.5, 1.5, 8)
         jacs = network_jacobian(model, data, theta_bar, chart=chart)
         assert len(jacs) == data.size
         for x, jac in zip(data.inputs, jacs):
             through = VectorMap(8, model.out_dim, lambda t, x=x: model.forward(x, chart.fn(t)))
-            assert np.array_equal(jac, jacobian(through, theta_bar))
+            assert_same_bits(jac, jacobian(through, theta_bar))
+
+    @pytest.mark.parametrize("family", AFFINE_FAMILIES)
+    def test_affine_chart_never_sees_a_dual(self, family):
+        model, data = default_recipe(4, seed=3, kind="mlp-tanh")
+        g = catalog(family, 4, seed=4)
+        seen = []
+
+        def recorded(theta):
+            seen.extend(np.ravel(theta))
+            return g.inverse_map.fn(theta)
+
+        chart = dataclasses.replace(g.inverse_map, fn=recorded)
+        barred = Diffeomorphism(family, g.forward_map, chart)
+        theta_bar = np.random.default_rng(5).uniform(-1.5, 1.5, 4)
+        network_jacobian(model, data, theta_bar, chart=chart)
+        gradient_and_hessian(pullback_loss(barred, dataset_loss(model, data)), theta_bar)
+        assert seen and not any(isinstance(entry, Dual2) for entry in seen)
 
     def test_chart_composes_with_the_model(self):
         model = mlp_tanh(1, 1, 1)
