@@ -32,7 +32,8 @@ import numpy as np
 from .diffcalc import DIM_CAP
 from .errors import ConfigurationError, EquiflowError
 from .flows import XI_MIN
-from .geometry import FAMILIES, catalog, check_family_dim, check_seed, state_order1, state_order2
+from .geometry import FAMILIES, catalog, check_count, check_family_dim, check_positive, check_seed
+from .geometry import state_order1, state_order2
 from .harness import (
     ALGORITHMS,
     EQUIVARIANCE_TOLERANCE,
@@ -72,16 +73,13 @@ def _is_number(value) -> bool:
     return isinstance(value, int) or math.isfinite(value)
 
 
-def _is_positive_number(value) -> bool:
-    return _is_number(value) and value > 0
-
-
-def _passes(check: Callable) -> Callable:
-    """value -> whether the library `check` accepts it without a ConfigurationError."""
+def _passes(check: Callable, *args, **kwargs) -> Callable:
+    """value -> whether the library `check(value, *args, **kwargs)` accepts it
+    without a ConfigurationError."""
 
     def accepts(value) -> bool:
         try:
-            check(value)
+            check(value, *args, **kwargs)
         except ConfigurationError:
             return False
         return True
@@ -89,9 +87,8 @@ def _passes(check: Callable) -> Callable:
     return accepts
 
 
-def _is_count(value) -> bool:
-    """A positive JSON integer; true and false are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+_is_positive_number = _passes(check_positive, "value")  # finite; true is not a number
+_is_count = _passes(check_count, "count", least=1)  # true and false are not counts
 
 
 def _one_of(options: tuple) -> Callable:
@@ -531,7 +528,7 @@ def run(config: dict) -> int:
 
     out_dir = Path(config["out_dir"])
     payloads = {
-        "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+        "report.json": report_json_text(report),
         "report.txt": text + "\n",
         **csvs,
     }
@@ -542,6 +539,11 @@ def run(config: dict) -> int:
         raise ConfigurationError(f"cannot write reports to {out_dir}: {exc}") from exc
     print(f"wrote {out_dir / 'report.json'}")
     return status
+
+
+def report_json_text(report: dict) -> str:
+    """The bytes `run` writes to report.json: sorted keys, indent 2, a final newline."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _write_all(out_dir: Path, payloads: dict) -> None:

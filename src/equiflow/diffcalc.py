@@ -205,6 +205,14 @@ class Dual2:
         return f"Dual2({self.v!r})"
 
 
+def _point(theta, dim: int, name: str) -> np.ndarray:
+    """`theta` as a float array, refused unless its shape is (dim,)."""
+    point = np.asarray(theta, dtype=float)
+    if point.shape != (dim,):
+        raise ConfigurationError(f"{name} takes a point of length {dim}, got shape {point.shape}")
+    return point
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A twice-differentiable map from parameter vectors to a real number.
@@ -224,7 +232,7 @@ class ScalarField:
             )
 
     def value(self, theta) -> float:
-        out = float(self.fn(np.asarray(theta, dtype=float)))
+        out = float(self.fn(_point(theta, self.dim, self.name or "scalar field")))
         if not math.isfinite(out):
             raise EvaluationDomainError(
                 f"{self.name or 'scalar field'} non-finite at {theta}"
@@ -270,8 +278,8 @@ class VectorMap:
             object.__setattr__(self, "_parts", _affine_parts(matrix))
 
     def value(self, theta) -> np.ndarray:
-        out = np.asarray(self.fn(np.asarray(theta, dtype=float)), dtype=float)
-        out = out.reshape(self.out_dim)
+        point = _point(theta, self.in_dim, self.name or "vector map")
+        out = np.asarray(self.fn(point), dtype=float).reshape(self.out_dim)
         if not np.all(np.isfinite(out)):
             raise EvaluationDomainError(
                 f"{self.name or 'vector map'} non-finite at {theta}"
@@ -347,7 +355,7 @@ def _finite(array: np.ndarray, what: str, name: str, theta) -> None:
 
 def gradient(f: ScalarField, theta) -> np.ndarray:
     """First derivatives of `f` at `theta`, exact to roundoff."""
-    value, grad, _ = derivative_pass(f.fn, theta, order=1)
+    value, grad, _ = derivative_pass(f.fn, _point(theta, f.dim, f.name or "field"), order=1)
     _finite(np.append(value, grad), "gradient", f.name or "field", theta)
     return grad.reshape(f.dim)
 
@@ -355,7 +363,7 @@ def gradient(f: ScalarField, theta) -> np.ndarray:
 def gradient_and_hessian(f: ScalarField, theta) -> tuple[np.ndarray, np.ndarray]:
     """(gradient, exactly symmetrized Hessian) of `f` at `theta` from one
     order-2 pass; the gradient equals `gradient(f, theta)` bit for bit."""
-    value, grad, hess = derivative_pass(f.fn, theta, order=2)
+    value, grad, hess = derivative_pass(f.fn, _point(theta, f.dim, f.name or "field"), order=2)
     _finite(np.append(value, grad), "gradient", f.name or "field", theta)
     _finite(hess, "hessian", f.name or "field", theta)
     return grad.reshape(f.dim), hess.reshape(f.dim, f.dim)
@@ -376,6 +384,7 @@ def _affine_parts(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def jacobian(m: VectorMap, theta) -> np.ndarray:
     """(out_dim, in_dim) matrix of first partials of `m` at `theta`."""
+    theta = _point(theta, m.in_dim, m.name or "map")
     if m.matrix is not None:
         return m._parts[0].copy()
     jac = derivative_pass(m.fn, theta, order=1)[1].reshape(m.out_dim, -1)
@@ -386,6 +395,7 @@ def jacobian(m: VectorMap, theta) -> np.ndarray:
 def jacobian_and_second_derivatives(m: VectorMap, theta) -> tuple[np.ndarray, np.ndarray]:
     """(`jacobian`, `second_derivatives`) of `m` at `theta` from one order-2
     pass; the Jacobian equals `jacobian(m, theta)` bit for bit."""
+    theta = _point(theta, m.in_dim, m.name or "map")
     if m.matrix is not None:
         return m._parts[0].copy(), m._parts[1].copy()
     _, jac, d2 = derivative_pass(m.fn, theta, order=2)

@@ -19,8 +19,8 @@ import numpy as np
 from . import diffcalc
 from .diffcalc import ScalarField, VectorMap
 from .errors import ConfigurationError, SingularMatrixError
-from .geometry import Connection, OptimizerState, StateVelocity
-from .models import Dataset, Model, check_dataset_dims, check_noise_variance, network_jacobian
+from .geometry import Connection, OptimizerState, StateVelocity, check_positive
+from .models import Dataset, Model, check_dataset_dims, network_jacobian
 
 # 1/xi terms are evaluated at max(xi, XI_MIN); trajectories start there too.
 XI_MIN = 1e-3
@@ -66,8 +66,7 @@ class FlowField:
 
 def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> FlowField:
     """Stationary-moment full-batch limit: componentwise -g / (|g| + eps)."""
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"adam epsilon must be positive, got {epsilon}")
+    check_positive(epsilon, "adam epsilon")
 
     def velocity(state):
         grad = diffcalc.gradient(loss, state.theta)
@@ -78,7 +77,8 @@ def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> Fl
 
 def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> FlowField:
     """dtheta/dxi = -H^-1 grad L with H the Hessian, made covariant,
-    H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given."""
+    H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given; None is the
+    flat connection (Gamma = 0), which leaves H as it is."""
     return _newton_flow(loss, connection, lambda system: system)
 
 
@@ -136,7 +136,7 @@ def fisher_matrix(
 ) -> np.ndarray:
     """Fisher information of an isotropic Gaussian with the model's outputs as means:
     the GGN form with weight I / noise_variance; `chart` as in `ggn_matrix`."""
-    check_noise_variance(noise_variance)
+    check_positive(noise_variance, "noise variance")
     return ggn_matrix(model, data, np.eye(model.out_dim) / noise_variance, theta, chart)
 
 
@@ -189,10 +189,10 @@ def nesterov_flow(
 
     with P = I without a metric field `precond`, and the acceleration read
     covariantly when a connection is supplied (the quadratic-in-velocity
-    Christoffel term then enters the right side).
+    Christoffel term then enters the right side).  None is the flat
+    connection (Gamma = 0), which adds no term.
     """
-    if r <= 0.0:
-        raise ConfigurationError(f"damping constant r must be positive, got {r}")
+    check_positive(r, "damping constant r")
     metadata: dict = {}
 
     def velocity(state):

@@ -7,19 +7,20 @@ family; their triangular structure gives an exact forward-substitution
 inverse and a unit-determinant Jacobian.  The other four are affine:
 `affine_diffeomorphism` sets `VectorMap.matrix` to A on the forward map and to
 A^-1 on the inverse map, so `diffcalc` reads their Jacobians and zero second
-derivatives off the matrix instead of running a dual pass.  Each family is one
-row of `FAMILY_ROWS` (its matrix draw, least dimension and smallest named
-group), and `GROUPS` states which group directly contains which.  Derivatives of
-a map come only from `diffcalc`: the pushforwards and `pullback_connection` ask
-it for those of `forward_map` and `inverse_map`.  `pullback_loss`'s `fn` is a
-`diffcalc.Pullback` through `inverse_map`, and an affine map's connection is
-constant, computed once.  Models are not pulled back here: `flows.ggn_matrix`
-takes a diffeomorphism's `inverse_map` as its chart.
+derivatives off the matrix instead of running a dual pass.  An affine map
+carries the flat connection of R^N to itself, so its barred chart is flat and
+`pullback_connection` returns None.  Each family is one row of `FAMILY_ROWS`
+(its matrix draw, least dimension and smallest named group), and `GROUPS`
+states which group directly contains which.  Derivatives of a map come only
+from `diffcalc`.  `pullback_loss`'s `fn` is a `diffcalc.Pullback` through
+`inverse_map`.  Models are not pulled back here: `flows.ggn_matrix` takes a
+diffeomorphism's `inverse_map` as its chart.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -98,13 +99,11 @@ class StateVelocity:
 
 
 def state_order1(theta, time: float = 0.0) -> OptimizerState:
-    return OptimizerState(time, (np.asarray(theta, dtype=float),))
+    return OptimizerState(time, (theta,))
 
 
 def state_order2(theta, velocity, time: float) -> OptimizerState:
-    return OptimizerState(
-        time, (np.asarray(theta, dtype=float), np.asarray(velocity, dtype=float))
-    )
+    return OptimizerState(time, (theta, velocity))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,7 @@ def affine_diffeomorphism(matrix, shift=None, family="affine", label="") -> Diff
 
 
 def translation(shift) -> Diffeomorphism:
-    shift = np.asarray(shift, dtype=float)
-    return affine_diffeomorphism(np.eye(shift.shape[0]), shift, family="translation")
+    return affine_diffeomorphism(np.eye(np.shape(shift)[0]), shift, family="translation")
 
 
 def shear_diffeomorphism(coeffs, func: str = "sin", label="") -> Diffeomorphism:
@@ -350,6 +348,12 @@ def check_count(value, what: str, least: int = 0) -> None:
         raise ConfigurationError(f"{what} must be a {kind} integer, got {value!r}")
 
 
+def check_positive(value, what: str) -> None:
+    """Refuse a `what` that is not a number in (0, inf): NaN, an infinity, a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ConfigurationError(f"{what} must be positive and finite, got {value!r}")
+
+
 def check_seed(seed, what: str = "seed") -> None:
     """Refuse a seed that is not an integer >= 0, as `np.random.default_rng` needs."""
     check_count(seed, what)
@@ -419,23 +423,18 @@ def pushforward_tangent(
     return StateVelocity((jac @ velocity.dderivs[0], jac @ velocity.dderivs[1] + quad))
 
 
-def pullback_connection(g: Diffeomorphism) -> Connection:
-    """The flat connection of the unbarred chart, expressed in barred coordinates;
-    for an affine g a constant, computed and checked once, then copied."""
-    affine = g.forward_map.matrix is not None and g.inverse_map.matrix is not None
-    constant = []
+def pullback_connection(g: Diffeomorphism) -> Optional[Connection]:
+    """The unbarred chart's flat connection in barred coordinates, Gamma^k_ij =
+    J_fwd[k, l] D^2(g^-1)[l, i, j]; None, the flows' flat connection, when g's
+    inverse carries its matrix, since an affine inverse has D^2(g^-1) = 0."""
+    if g.inverse_map.matrix is not None:
+        return None
 
     def christoffel(theta_bar):
-        theta = g.inverse(theta_bar)
-        if constant:
-            return constant[0].copy()
-        jac_fwd = diffcalc.jacobian(g.forward_map, theta)
+        jac_fwd = diffcalc.jacobian(g.forward_map, g.inverse(theta_bar))
         if np.linalg.cond(jac_fwd) > MAX_CONDITION:
             raise SingularMatrixError("singular Jacobian in connection pullback", theta_bar)
         d2_inv = diffcalc.second_derivatives(g.inverse_map, theta_bar)
-        gamma = np.einsum("kl,lij->kij", jac_fwd, d2_inv)
-        if affine:
-            constant.append(gamma.copy())
-        return gamma
+        return np.einsum("kl,lij->kij", jac_fwd, d2_inv)
 
     return Connection(g.dim, christoffel)

@@ -46,6 +46,7 @@ from .geometry import (
     OptimizerState,
     check_count,
     check_family_dim,
+    check_positive,
     check_seed,
     group_contains,
     pullback_connection,
@@ -56,13 +57,13 @@ from .geometry import (
     state_order1,
     state_order2,
 )
-from .models import Dataset, Model, check_noise_variance, dataset_loss, linear_model, mlp_tanh
+from .models import Dataset, Model, dataset_loss, linear_model, mlp_tanh
 
 
 class FlowRecipe(NamedTuple):
     dynamics: str  # "gradient", "nesterov", "adam" or "newton"
     metric: Optional[str]  # None, "fisher" or "ggn"
-    transported: bool  # whether the barred flow gets the transported connection
+    transported: bool  # whether the barred flow reads pullback_connection (None if g is affine)
     group: str  # reference equivariance group, a key of geometry.GROUPS
 
 
@@ -154,7 +155,7 @@ class FlowBuilder:
                 f"{self.algorithm} needs a model and a dataset for its preconditioner"
             )
         if metric == "fisher":
-            check_noise_variance(self.noise_variance)
+            check_positive(self.noise_variance, "noise variance")
         if self.model is not None and self.model.param_dim != self.loss.dim:
             raise ConfigurationError("model parameter dimension does not match loss")
 
@@ -198,8 +199,8 @@ class FlowBuilder:
     def _flow(self, reparam: Optional[Diffeomorphism]) -> FlowField:
         dynamics, metric, transported, _ = FLOW_RECIPES[self.algorithm]
         loss = self.loss if reparam is None else pullback_loss(reparam, self.loss)
-        # The flat base-chart connection is implicit (Gamma = 0); only the
-        # barred chart carries nonzero Christoffel symbols.
+        # None is the flat connection (Gamma = 0): the base chart's, and a
+        # barred chart's under an affine map.  Shears and composites compute theirs.
         connection = None if reparam is None or not transported else pullback_connection(reparam)
         precond = None if metric is None else self._precondition_fn(reparam, metric)
         if dynamics == "adam":

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, EvaluationDomainError
 from .flows import FlowField
-from .geometry import Diffeomorphism, OptimizerState, pushforward_state
+from .geometry import Diffeomorphism, OptimizerState, check_positive, pushforward_state
 
 SCHEMES = ("euler", "rk4")
 DEFAULT_SCHEME = "euler"
@@ -77,8 +77,7 @@ def drift_step_counts(h_list: Sequence[float], horizon: float) -> list[int]:
     count is not finite or exceeds `MAX_STEPS`, or when an h repeats an
     earlier one, which would leave the drift slope fit one x value short.
     """
-    if horizon <= 0.0:
-        raise ConfigurationError(f"horizon must be positive, got {horizon}")
+    check_positive(horizon, "horizon")
     counts = []
     for h in h_list:
         if not (h > 0.0 and math.isfinite(horizon / h)):
@@ -111,8 +110,7 @@ def _final(flow: FlowField, start: OptimizerState, h: float, steps: int, scheme:
 
 def _steps(flow: FlowField, start: OptimizerState, h: float, steps: int, scheme: str):
     """The state after each step of `integrate`, one at a time."""
-    if h <= 0.0:
-        raise ConfigurationError(f"step size must be positive, got {h}")
+    check_positive(h, "step size")
     check_step_count(steps)
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")

@@ -70,12 +70,6 @@ class Model:
             )
 
 
-def check_noise_variance(noise_variance: float) -> None:
-    """Refuse a Gaussian noise variance that is not positive."""
-    if noise_variance <= 0.0:
-        raise ConfigurationError(f"noise variance must be positive, got {noise_variance}")
-
-
 def linear_model(in_dim: int, out_dim: int = 1) -> Model:
     """f(x, theta) = W x with W = theta reshaped to (out_dim, in_dim)."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -726,3 +727,16 @@ class TestRun:
                 f.unlink()
         assert "report.json" in outputs[0]
         assert outputs[0] == outputs[1]
+
+
+class TestReportBytes:
+    # sha256 of report_json_text(reproduce_table(dims=(2, 4), trials_per_family=2,
+    # seed=0).as_dict()), recorded when this test was added
+    TABLE_SHA256 = "4aab3d4e5cf13e78ce1781d5a6be2e76066469fb0244befc3c805c0ddda221a0"
+
+    def test_table_report_bytes_are_unchanged(self):
+        """Reports stay byte-identical across refactors and speedups.  A change
+        meant to alter the report updates this hash, and CHANGES.md logs it."""
+        table = reproduce_table(dims=(2, 4), trials_per_family=2, seed=0)
+        text = cli.report_json_text(table.as_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.TABLE_SHA256

@@ -109,6 +109,20 @@ class TestHessian:
         assert gradient_and_hessian(f, np.full(dim, 0.5))[1].shape == (dim, dim)
 
 
+class TestWrongLengthPoint:
+    @pytest.mark.parametrize("point", [[0.1, 0.2, 0.3], [[0.1, 0.2]], 0.1], ids=["3", "2x1", "0-d"])
+    def test_every_reader_refuses_by_name(self, point):
+        loss = quadratic_loss(np.eye(2))
+        readers = [loss.value, lambda p: gradient(loss, p), lambda p: gradient_and_hessian(loss, p)]
+        for family in ("affine", "shear"):  # an affine map's jacobian never calls fn
+            m = catalog(family, 2, seed=0).forward_map
+            readers += [m.value, lambda p, m=m: jacobian(m, p)]
+            readers += [lambda p, m=m: jacobian_and_second_derivatives(m, p)]
+        for read in readers:
+            with pytest.raises(ConfigurationError, match="length 2, got shape"):
+                read(point)
+
+
 class TestJacobian:
     def test_linear_map(self):
         q = np.array([[0.0, -1.0], [1.0, 0.0]])

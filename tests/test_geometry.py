@@ -10,10 +10,14 @@ from equiflow import (
     affine_diffeomorphism,
     catalog,
     compose,
+    default_flow_builder,
+    fisher_matrix,
+    ggn_matrix,
     gradient,
     integrate,
     jacobian,
     nesterov_flow,
+    newton_flow,
     pullback_connection,
     pullback_loss,
     pushforward_state,
@@ -25,6 +29,7 @@ from equiflow import (
     translation,
 )
 from equiflow.geometry import (
+    check_positive,
     random_invertible,
     random_orthogonal,
     random_signed_permutation,
@@ -34,6 +39,7 @@ from conftest import (
     assert_same_bits,
     canonical_shear,
     counting,
+    flat_connection,
     identity,
     invert,
     quadratic_loss,
@@ -208,6 +214,12 @@ class TestPushforwardState:
                     np.linalg.norm(direct.as_vector() - chained.as_vector()) <= 1e-9
                 ), (fam1, fam2)
 
+    @pytest.mark.parametrize("family", ["affine", "shear"])
+    def test_wrong_length_state_refused(self, family):
+        s = state_order2([0.3, 0.4, 0.5], [-1.0, 0.5, 0.2], time=1.0)
+        with pytest.raises(ConfigurationError, match=r"length 2, got shape \(3,\)"):
+            pushforward_state(catalog(family, 2, seed=0), s)
+
 
 class TestPushforwardTangent:
     def test_affine_second_component(self):
@@ -302,9 +314,21 @@ class TestTransformBilinear:
 
 class TestPullbackConnection:
     def test_affine_is_flat(self):
-        g = affine_diffeomorphism(random_invertible(3, np.random.default_rng(8)))
-        gamma = pullback_connection(g).christoffel_at([0.2, -0.1, 0.5])
-        assert np.allclose(gamma, 0.0, atol=1e-12)
+        # D^2(g^-1) = 0 for an affine g, so the barred chart is flat: no connection
+        maps = [affine_diffeomorphism(random_invertible(3, np.random.default_rng(8)))]
+        maps += [catalog(family, n, seed=6) for family in AFFINE_FAMILIES for n in (2, 4)]
+        for g in maps:
+            assert pullback_connection(g) is None, g.family
+
+    def test_composed_affine_maps_compute_zero_gamma(self):
+        # a composite carries no matrix, so its connection is computed: the
+        # oracle for the None an affine map returns
+        for n in (2, 4):
+            g = compose(catalog("affine", n, seed=1), catalog("euclidean", n, seed=2))
+            connection = pullback_connection(g)
+            assert connection is not None
+            for theta_bar in np.random.default_rng(n).uniform(-1.5, 1.5, (3, n)):
+                assert not np.any(connection.christoffel_at(theta_bar))
 
     def test_canonical_shear_by_hand(self):
         beta = 0.5
@@ -317,21 +341,33 @@ class TestPullbackConnection:
         assert np.allclose(gamma, want, atol=1e-12)
 
     @pytest.mark.parametrize("family", AFFINE_FAMILIES)
-    def test_affine_connection_is_computed_once_and_copied(self, family):
+    def test_affine_flows_equal_flat_gamma(self, family):
+        # the barred flows under an affine map equal those given an explicit all-zero Connection
         g = catalog(family, 4, seed=6)
-        connection = pullback_connection(g)
-        for theta_bar in np.random.default_rng(7).uniform(-1.5, 1.5, (3, 4)):
-            fresh = np.einsum(
-                "kl,lij->kij",
-                jacobian(g.forward_map, g.inverse(theta_bar)),
-                second_derivatives(g.inverse_map, theta_bar),
-            )
-            gamma = connection.christoffel_at(theta_bar)
-            assert_same_bits(gamma, fresh)
-            gamma[0, 0, 0] = 99.0
-            assert_same_bits(connection.christoffel_at(theta_bar), fresh)
-        with pytest.raises(EvaluationDomainError):
-            connection.christoffel_at([0.1, np.nan, 0.2, 0.3])
+        flat = flat_connection(4)
+        rng = np.random.default_rng(7)
+        for algorithm in ("newton-covariant", "nngd", "agn"):
+            builder = default_flow_builder(algorithm, 4, seed=0)
+            loss = pullback_loss(g, builder.loss)
+            if algorithm == "newton-covariant":
+                explicit = newton_flow(loss, connection=flat)
+            else:
+                model, data, chart = builder.model, builder.data, g.inverse_map
+                if algorithm == "nngd":
+                    nv = builder.noise_variance
+                    form = lambda theta: fisher_matrix(model, data, nv, theta, chart)
+                else:
+                    form = lambda theta: ggn_matrix(model, data, np.eye(1), theta, chart)
+                explicit = nesterov_flow(loss, form, r=builder.r, connection=flat)
+            barred = builder.build(g)
+            for _ in range(3):
+                theta_bar, velocity = rng.uniform(-1.5, 1.5, (2, 4))
+                if barred.order == 1:
+                    state = state_order1(theta_bar)
+                else:
+                    state = state_order2(theta_bar, velocity, time=1.0)
+                got, want = barred(state).as_vector(), explicit(state).as_vector()
+                assert np.array_equal(got, want), algorithm
 
     def test_identity_composition_unchanged(self):
         g = canonical_shear(0.4)
@@ -396,3 +432,14 @@ class TestCatalog:
         assert set(np.abs(p).sum(axis=0)) == {1.0}
         a = random_invertible(5, rng)
         assert np.linalg.cond(a) <= 50.0 + 1e-6
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("value", [0, -1.0, np.nan, np.inf, -np.inf, True, "x", None])
+    def test_refuses(self, value):
+        with pytest.raises(ConfigurationError, match="^horizon must be positive"):
+            check_positive(value, "horizon")
+
+    @pytest.mark.parametrize("value", [1, 0.5, np.float64(2.0), 5e-324, 2**64])
+    def test_accepts(self, value):
+        check_positive(value, "horizon")

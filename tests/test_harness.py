@@ -125,6 +125,25 @@ class TestFlowBuilderValidation:
                 algorithm, dataset_loss(model, data), model=model, data=data, noise_variance=0.0
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "x"])
+    @pytest.mark.parametrize(
+        "algorithm, setting, what",
+        [
+            ("ngd", "noise_variance", "noise variance"),
+            ("nngd", "r", "damping constant r"),
+            ("adam", "epsilon", "adam epsilon"),
+        ],
+        ids=["noise_variance", "r", "epsilon"],
+    )
+    def test_non_finite_setting_refused(self, algorithm, setting, what, value):
+        # NaN noise variance used to reach the SVD, an infinite one or an infinite
+        # epsilon gave a zero flow, and "x" raised a raw TypeError
+        model, data = default_recipe(2, seed=0)
+        with pytest.raises(ConfigurationError, match=f"^{what} must be positive"):
+            FlowBuilder(
+                algorithm, dataset_loss(model, data), model=model, data=data, **{setting: value}
+            ).build()
+
     def test_building_twice_is_identical(self):
         from equiflow import pushforward_state
 
@@ -155,8 +174,10 @@ class TestInvertedMatrix:
                 continue
             if algorithm in ("newton", "newton-covariant"):
                 want = hessian(loss, point)
-                if algorithm == "newton-covariant" and g is not None:
-                    gamma = pullback_connection(g).christoffel_at(point)
+                # a None connection is flat: the affine charts' Hessian stays as it is
+                connection = None if g is None else pullback_connection(g)
+                if algorithm == "newton-covariant" and connection is not None:
+                    gamma = connection.christoffel_at(point)
                     want = want - np.einsum("kij,k->ij", gamma, gradient(loss, point))
                 flow = builder.build(g)
                 velocity = flow(state_order1(point)).dderivs[0]

@@ -86,6 +86,23 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError, match="100000"):
             integrate(flow, state_order1([1.0]), 0.1, MAX_STEPS + 1)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, True, "x"])
+    def test_non_finite_step_size_refused(self, h):
+        # a NaN step used to be taken and reported as divergence after step 1
+        flow = gradient_flow(quadratic_loss(np.eye(1)))
+        with pytest.raises(ConfigurationError, match="^step size must be positive"):
+            integrate(flow, state_order1([1.0]), h, 5)
+
+    @pytest.mark.parametrize("horizon", [0.0, np.nan, np.inf, "x"])
+    def test_non_finite_horizon_refused(self, horizon):
+        with pytest.raises(ConfigurationError, match="^horizon must be positive"):
+            drift_step_counts([0.1], horizon)
+
+    def test_wrong_length_start_refused(self):
+        flow = gradient_flow(quadratic_loss(np.eye(2)))
+        with pytest.raises(ConfigurationError, match=r"length 2, got shape \(3,\)"):
+            integrate(flow, state_order1([1.0, 0.5, 0.2]), 0.1, 5)
+
 
 class TestTrajectoryCsv:
     def test_columns_and_rows(self):
