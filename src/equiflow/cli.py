@@ -10,7 +10,8 @@ slope that the fit leaves undefined (NaN) is written as `null`.
 `KEYS` declares every config key once: its default (naming the library value
 wherever the library has one), the experiments that read it, and the check
 `validate` runs on it.  Past those checks `validate` runs the library's own
-refusal rules (step counts, one-parameter families, dataset dims, tolerance
+refusal rules (the dimension cap, `models.model_from_recipe`, a dataset file
+read at the model's sizes, step counts, one-parameter families, tolerance
 ordering), so a refused config reads the message the library would raise.
 
 Every experiment builds its flows through one problem path, `_problem`.
@@ -29,10 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from .diffcalc import DIM_CAP
+from .diffcalc import check_dim
 from .errors import ConfigurationError, EquiflowError
 from .flows import XI_MIN
-from .geometry import FAMILIES, catalog, check_count, check_family_dim, check_positive, check_seed
+from .geometry import FAMILIES, catalog, check_count, check_family_dim, check_positive
 from .geometry import state_order1, state_order2
 from .harness import (
     ALGORITHMS,
@@ -61,16 +62,15 @@ from .integrate import (
     integrate,
     trajectory_csv_text,
 )
-from .models import check_dataset_dims, dataset_loss, linear_model, load_dataset, mlp_tanh
+from .models import MODEL_KINDS, dataset_loss, load_dataset, model_from_recipe
 
 EXPERIMENTS = ("classify", "table", "drift", "trajectory")
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; true and false are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or math.isfinite(value)
+    """A JSON number within the float range: not NaN, an infinity, 10**400 or true."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 def _passes(check: Callable, *args, **kwargs) -> Callable:
@@ -115,7 +115,7 @@ KEYS = {
     # every experiment
     "experiment": Key("table", _one_of(EXPERIMENTS), f"one of {EXPERIMENTS}"),
     # trial draws, synthetic data, theta0
-    "seed": Key(0, _passes(check_seed), "a non-negative integer"),
+    "seed": Key(0, _passes(check_count, "seed"), "a non-negative integer"),
     "dims": Key(  # drift and trajectory use the first entry; a model recipe replaces them
         list(TABLE_DIMS), _list_of(_is_count, True), "a non-empty list of positive integers"
     ),
@@ -128,7 +128,7 @@ KEYS = {
     "epsilon": Key(FlowBuilder.epsilon, _is_positive_number, "a positive number"),  # adam
     # null: harness.default_recipe; dataset null: harness.synthetic_dataset
     "model": Key(None, _object_or_null, "null or a model recipe object"),
-    "dataset": Key(None, _object_or_null, "null or an object with path, in_dim, out_dim"),
+    "dataset": Key(None, _object_or_null, "null or an object naming a data file path"),
     "out_dir": Key("out", lambda value: isinstance(value, str), "a path string"),
     # table and classify
     "families": Key(
@@ -163,9 +163,8 @@ DEFAULTS = {name: key.default for name, key in KEYS.items()}
 # The keys each config object reads; a model recipe's depend on its kind.
 _FIELDS = {
     "diffeo": ("family", "seed"),
-    "dataset": ("path", "in_dim", "out_dim"),
-    "linear": ("kind", "in_dim", "out_dim"),
-    "mlp-tanh": ("kind", "in_dim", "hidden", "out_dim", "bias"),
+    "dataset": ("path",),
+    **{kind: ("kind", *row.fields) for kind, row in MODEL_KINDS.items()},
 }
 
 
@@ -228,8 +227,7 @@ def validate(config: dict) -> list[Diagnostic]:
 
     dims = config["dims"] if ok["dims"] else []
     for entry in dims:
-        if entry > DIM_CAP:
-            fatal(f"dims entry {entry} exceeds the dimension cap DIM_CAP = {DIM_CAP}")
+        refused(check_dim, entry, "dims entry")
     if ok["tolerance"] and ok["violation_threshold"]:
         refused(check_thresholds, config["tolerance"], config["violation_threshold"])
     if ok["trials"] and config["trials"] == 1:
@@ -237,7 +235,7 @@ def validate(config: dict) -> list[Diagnostic]:
     if ok["diffeo"]:
         unknown_fields("diffeo", config["diffeo"], "diffeo")
         diffeo_seed = config["diffeo"].get("seed", DEFAULTS["diffeo"]["seed"])
-        refused(check_seed, diffeo_seed, "diffeo seed")
+        refused(check_count, diffeo_seed, "diffeo seed")
 
     dim = dims[0] if dims else None  # the parameter count drift and trajectory use
     model_cfg, model = config.get("model"), None
@@ -245,7 +243,7 @@ def validate(config: dict) -> list[Diagnostic]:
         dim = None
         if ok["model"]:
             try:
-                model = _build_model(model_cfg)
+                model = model_from_recipe(model_cfg)
                 dim = model.param_dim
                 unknown_fields("model", model_cfg, model_cfg["kind"])
             except ConfigurationError as exc:
@@ -259,21 +257,10 @@ def validate(config: dict) -> list[Diagnostic]:
             fatal("dataset requires an explicit model recipe")
         unknown_fields("dataset", data_cfg, "dataset")
         path = data_cfg.get("path")
-        sizes = [data_cfg.get(key) for key in ("in_dim", "out_dim")]
-        for key, value in zip(("in_dim", "out_dim"), sizes):
-            if not _is_count(value):
-                fatal(f"dataset {key} must be a positive integer, got {value!r}")
-        if model is not None and all(map(_is_count, sizes)):
-            refused(check_dataset_dims, model, *sizes)
         if not isinstance(path, str):
             fatal(f"dataset path must be a string, got {path!r}")
-        elif not Path(path).exists():
-            fatal(f"dataset file {path} does not exist")
-        elif all(map(_is_count, sizes)):
-            try:
-                load_dataset(path, *sizes)
-            except ConfigurationError as exc:
-                fatal(str(exc))
+        elif model is not None:
+            refused(load_dataset, path, model.in_dim, model.out_dim)
 
     experiment = config.get("experiment")
     theta0 = config.get("theta0") if ok["theta0"] else None
@@ -314,24 +301,6 @@ def diagnose(config: dict) -> list[Diagnostic]:
     return diagnostics
 
 
-def _build_model(recipe: dict):
-    def size(key, default=None):
-        value = recipe.get(key, default)
-        if not _is_count(value):
-            raise ConfigurationError(f"model {key} must be a positive integer, got {value!r}")
-        return value
-
-    kind = recipe.get("kind")
-    if kind == "linear":
-        return linear_model(size("in_dim"), size("out_dim", 1))
-    if kind == "mlp-tanh":
-        bias = recipe.get("bias", True)
-        if not isinstance(bias, bool):
-            raise ConfigurationError(f"model bias must be true or false, got {bias!r}")
-        return mlp_tanh(size("in_dim"), size("hidden"), size("out_dim", 1), bias=bias)
-    raise ConfigurationError(f"unknown model kind {kind!r}")
-
-
 def _problem(config: dict):
     """(dims, builder): the parameter dimensions the experiment runs at, and
     the `builder(algorithm, dim) -> FlowBuilder` factory all experiments use.
@@ -345,12 +314,12 @@ def _problem(config: dict):
         dims = list(config["dims"])
         problems = {dim: default_recipe(dim, seed=seed) for dim in dims}
     else:
-        model = _build_model(model_cfg)
+        model = model_from_recipe(model_cfg)
         data_cfg = config.get("dataset")
         if data_cfg is None:
             data = synthetic_dataset(model, 2 * model.param_dim, seed)
         else:
-            data = load_dataset(data_cfg["path"], data_cfg["in_dim"], data_cfg["out_dim"])
+            data = load_dataset(data_cfg["path"], model.in_dim, model.out_dim)
         dims = [model.param_dim]
         problems = {model.param_dim: (model, data)}
     settings = {key: config[key] for key in ("noise_variance", "r", "epsilon")}

@@ -27,8 +27,8 @@ seeds it at an affine chart's image (values from `chart.fn` on Python floats, a
 row of J and its signed zero per seed), so the chart never sees a dual and the
 bits are those of mapping the seeds.  Shears and composites map the seeds.
 
-Everything here assumes dense linear algebra and parameter dimension at most
-`DIM_CAP`.
+Everything here assumes dense linear algebra and dimensions in [1, `DIM_CAP`],
+which `check_dim` enforces for `ScalarField`, `VectorMap` and `models.Model`.
 """
 
 from __future__ import annotations
@@ -205,9 +205,24 @@ class Dual2:
         return f"Dual2({self.v!r})"
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a boolean is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_dim(value, what: str) -> None:
+    """Refuse a `what` that is not an integer in [1, DIM_CAP]."""
+    if not _is_integer(value) or not 1 <= value <= DIM_CAP:
+        cap = f"an integer within the dimension cap [1, {DIM_CAP}]"
+        raise ConfigurationError(f"{what} must be {cap}, got {value!r}")
+
+
 def _point(theta, dim: int, name: str) -> np.ndarray:
-    """`theta` as a float array, refused unless its shape is (dim,)."""
-    point = np.asarray(theta, dtype=float)
+    """`theta` as a float array, refused unless it is numeric with shape (dim,)."""
+    try:
+        point = np.asarray(theta, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} takes a numeric point, got {theta!r}") from exc
     if point.shape != (dim,):
         raise ConfigurationError(f"{name} takes a point of length {dim}, got shape {point.shape}")
     return point
@@ -226,10 +241,7 @@ class ScalarField:
     name: str = ""
 
     def __post_init__(self):
-        if not 1 <= self.dim <= DIM_CAP:
-            raise ConfigurationError(
-                f"dimension cap exceeded: {self.dim} not in [1, {DIM_CAP}]"
-            )
+        check_dim(self.dim, f"{self.name or 'scalar field'} dim")
 
     def value(self, theta) -> float:
         out = float(self.fn(_point(theta, self.dim, self.name or "scalar field")))
@@ -262,10 +274,8 @@ class VectorMap:
     _parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.in_dim <= DIM_CAP or not 1 <= self.out_dim <= DIM_CAP:
-            raise ConfigurationError(
-                f"dimension cap exceeded: {self.in_dim}x{self.out_dim}"
-            )
+        check_dim(self.in_dim, f"{self.name or 'vector map'} in_dim")
+        check_dim(self.out_dim, f"{self.name or 'vector map'} out_dim")
         if self.matrix is not None:
             matrix = np.array(self.matrix, dtype=float)
             if matrix.shape != (self.out_dim, self.in_dim) or not np.all(np.isfinite(matrix)):

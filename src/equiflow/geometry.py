@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import diffcalc
-from .diffcalc import ScalarField, VectorMap
+from .diffcalc import ScalarField, VectorMap, _is_integer
 from .errors import ConfigurationError, EvaluationDomainError, SingularMatrixError
 
 # Matrices whose inversion backs a transform are rejected beyond this.
@@ -322,11 +323,6 @@ def group_contains(group: str, sub: str) -> bool:
     return group == sub or any(group_contains(inner, sub) for inner in GROUPS[group])
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; a boolean is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_family_dim(family: str, dim: int) -> None:
     """Refuse an unknown family, a dim that is not an integer >= 1, and a family
     whose every member at `dim` parameters lies in a smaller family."""
@@ -349,14 +345,10 @@ def check_count(value, what: str, least: int = 0) -> None:
 
 
 def check_positive(value, what: str) -> None:
-    """Refuse a `what` that is not a number in (0, inf): NaN, an infinity, a boolean."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    """Refuse a `what` that is not a number in (0, largest float]: NaN, inf, 10**400, True."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not 0 < value <= sys.float_info.max:
         raise ConfigurationError(f"{what} must be positive and finite, got {value!r}")
-
-
-def check_seed(seed, what: str = "seed") -> None:
-    """Refuse a seed that is not an integer >= 0, as `np.random.default_rng` needs."""
-    check_count(seed, what)
 
 
 def sample_diffeomorphism(
@@ -378,7 +370,7 @@ def sample_diffeomorphism(
 
 def catalog(family: str, dim: int, seed: int) -> Diffeomorphism:
     """Catalog entry addressable by family name and seed."""
-    check_seed(seed)
+    check_count(seed, "seed")
     check_family_dim(family, dim)  # before dim reaches the generator's seed
     return sample_diffeomorphism(family, dim, np.random.default_rng([seed, dim]))
 

@@ -12,7 +12,7 @@ pre-check on the matrix the flow inverts in both charts; the pre-check and the
 flow evaluation that follows share one evaluation of that matrix per state and
 chart, whether it is a Fisher, GGN, Hessian or covariant Hessian.
 
-All randomness flows from one integer seed >= 0 (`geometry.check_seed`): every
+All randomness flows from one integer seed >= 0 (`geometry.check_count`): every
 trial uses a PCG64 generator seeded with SeedSequence([seed, dim,
 algorithm_index, family_index, trial_index]), and synthetic datasets, the
 built-in corpus included, with SeedSequence([seed, param_dim, 101]).
@@ -47,7 +47,6 @@ from .geometry import (
     check_count,
     check_family_dim,
     check_positive,
-    check_seed,
     group_contains,
     pullback_connection,
     pullback_loss,
@@ -295,7 +294,7 @@ def _sample_state(
 
 def trial_rng(seed: int, dim: int, algorithm: str, family: str, trial: int):
     """The documented per-trial generator (PCG64 over a structured seed)."""
-    check_seed(seed)
+    check_count(seed, "seed")
     check_count(dim, "dim")
     check_count(trial, "trial")
     _check_known("algorithm", algorithm, ALGORITHMS)
@@ -370,6 +369,10 @@ def classify_equivariance(
 # ---------------------------------------------------------------------------
 
 
+# The built-in tanh network at each parameter count: mlp_tanh(in_dim, hidden, out_dim, bias).
+_TANH_NETWORKS = {2: (1, 1, 1, False), 4: (1, 1, 1, True), 8: (2, 2, 2, False)}
+
+
 def default_recipe(dim: int, seed: int = 0, kind: str = "linear") -> tuple[Model, Dataset]:
     """The standard model/dataset pair at one parameter dimension.
 
@@ -380,19 +383,13 @@ def default_recipe(dim: int, seed: int = 0, kind: str = "linear") -> tuple[Model
     The tanh networks are the nonlinear half of the corpus, used by the
     derivative-oracle checks and available to experiment configs.
     """
+    check_count(dim, "dim", least=1)
     if kind == "linear":
-        model = linear_model(dim, 1)
-        size = 2 * dim
+        model, size = linear_model(dim, 1), 2 * dim
     elif kind == "mlp-tanh":
-        if dim == 2:
-            model = mlp_tanh(1, 1, 1, bias=False)
-        elif dim == 4:
-            model = mlp_tanh(1, 1, 1, bias=True)
-        elif dim == 8:
-            model = mlp_tanh(2, 2, 2, bias=False)
-        else:
+        if dim not in _TANH_NETWORKS:
             raise ConfigurationError(f"no built-in tanh network with {dim} parameters")
-        size = 6
+        model, size = mlp_tanh(*_TANH_NETWORKS[dim]), 6
     else:
         raise ConfigurationError(f"unknown recipe kind {kind!r}")
     return model, synthetic_dataset(model, size, seed)
@@ -401,7 +398,7 @@ def default_recipe(dim: int, seed: int = 0, kind: str = "linear") -> tuple[Model
 def synthetic_dataset(model: Model, size: int, seed: int) -> Dataset:
     """`size` samples for `model`: inputs uniform in [-1.5, 1.5], targets in
     [-1, 1], drawn from SeedSequence([seed, param_dim, 101])."""
-    check_seed(seed)
+    check_count(seed, "seed")
     rng = np.random.default_rng([seed, model.param_dim, 101])
     inputs = rng.uniform(-1.5, 1.5, size=(size, model.in_dim))
     targets = rng.uniform(-1.0, 1.0, size=(size, model.out_dim))

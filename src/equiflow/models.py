@@ -4,18 +4,22 @@ Models are small enough that the whole parameter vector fits in `DIM_CAP`;
 their forward maps are written with numpy operations only, so they evaluate
 identically on float arrays and on dual-number seeds.  `network_jacobian` gives
 every per-sample output Jacobian, in the base chart or through a `chart` map.
+Each model kind is one row of `MODEL_KINDS`, its constructor and recipe fields;
+`model_from_recipe` reads a recipe, and the constructors refuse malformed sizes.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import diffcalc
 from .diffcalc import ScalarField, VectorMap
 from .errors import ConfigurationError, EvaluationDomainError
+from .geometry import check_count
 
 
 @dataclass(frozen=True)
@@ -64,14 +68,13 @@ class Model:
     forward: Callable
 
     def __post_init__(self):
-        if self.param_dim > diffcalc.DIM_CAP:
-            raise ConfigurationError(
-                f"dimension cap exceeded: model has {self.param_dim} parameters"
-            )
+        diffcalc.check_dim(self.param_dim, f"{self.kind} parameter count")
 
 
 def linear_model(in_dim: int, out_dim: int = 1) -> Model:
     """f(x, theta) = W x with W = theta reshaped to (out_dim, in_dim)."""
+    check_count(in_dim, "model in_dim", least=1)
+    check_count(out_dim, "model out_dim", least=1)
 
     def forward(x, theta):
         w = np.asarray(theta).reshape(out_dim, in_dim)
@@ -80,8 +83,13 @@ def linear_model(in_dim: int, out_dim: int = 1) -> Model:
     return Model("linear", in_dim, out_dim, in_dim * out_dim, forward)
 
 
-def mlp_tanh(in_dim: int, hidden: int, out_dim: int, bias: bool = True) -> Model:
+def mlp_tanh(in_dim: int, hidden: int, out_dim: int = 1, bias: bool = True) -> Model:
     """One-hidden-layer tanh network; parameters packed layer by layer."""
+    check_count(in_dim, "model in_dim", least=1)
+    check_count(hidden, "model hidden", least=1)
+    check_count(out_dim, "model out_dim", least=1)
+    if not isinstance(bias, bool):
+        raise ConfigurationError(f"model bias must be true or false, got {bias!r}")
     n_w1 = hidden * in_dim
     n_b1 = hidden if bias else 0
     n_w2 = out_dim * hidden
@@ -106,6 +114,29 @@ def mlp_tanh(in_dim: int, hidden: int, out_dim: int, bias: bool = True) -> Model
         return out
 
     return Model("mlp-tanh", in_dim, out_dim, param_dim, forward)
+
+
+class ModelKind(NamedTuple):
+    build: Callable[..., Model]
+    fields: tuple  # the recipe keys besides "kind": the constructor's parameters
+
+
+MODEL_KINDS = {
+    "linear": ModelKind(linear_model, ("in_dim", "out_dim")),
+    "mlp-tanh": ModelKind(mlp_tanh, ("in_dim", "hidden", "out_dim", "bias")),
+}
+
+
+def model_from_recipe(recipe: dict) -> Model:
+    """The model of a recipe's `MODEL_KINDS` row; an absent field takes the
+    constructor's default, or None (refused) where it has none."""
+    kind = recipe.get("kind")
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise ConfigurationError(f"unknown model kind {kind!r}")
+    row = MODEL_KINDS[kind]
+    params = inspect.signature(row.build).parameters
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    return row.build(**{name: recipe.get(name, defaults.get(name)) for name in row.fields})
 
 
 def check_dataset_dims(model: Model, in_dim: int, out_dim: int) -> None:

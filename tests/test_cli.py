@@ -12,15 +12,14 @@ from equiflow import (
     ConfigurationError,
     catalog,
     classify_equivariance,
-    dataset_loss,
     default_flow_builder,
     equivariance_drift,
     integrate,
-    linear_model,
     load_dataset,
     reproduce_table,
     state_order1,
 )
+from equiflow.models import model_from_recipe
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -71,37 +70,80 @@ class TestValidate:
         assert cli.main(["validate", str(path)]) == 0
         assert not (tmp_path / "fresh_out").exists()
 
-    def test_dataset_dims_mandatory(self, tmp_path):
-        data = tmp_path / "data.csv"
-        data.write_text("0.5,1.0\n")
-        out = tmp_path / "out"
-        path = write_config(
-            tmp_path,
-            model={"kind": "linear", "in_dim": 1},
-            dataset={"path": str(data), "out_dim": 1},
-            out_dir=str(out),
-        )
-        diags = cli.validate(cli.load_config(path))
-        assert any(d.severity == "fatal" and "in_dim" in d.message for d in diags)
-        assert cli.main(["run", str(path)]) == 2
-        assert not out.exists()
-
-    def test_dataset_dims_must_match_the_model(self, tmp_path):
-        data = tmp_path / "data.csv"
-        data.write_text("0.5,1.0\n-0.5,0.2\n")
+    @staticmethod
+    def _dataset_refused(tmp_path, data, model, message):
+        # the fatal diagnostics for a dataset config; run must exit 2 and write nothing
         out = tmp_path / "out"
         path = write_config(
             tmp_path,
             experiment="classify",
-            model={"kind": "linear", "in_dim": 2},
-            dataset={"path": str(data), "in_dim": 1, "out_dim": 1},
+            dims=[2],
+            model=model,
+            dataset={"path": str(data)},
             out_dir=str(out),
         )
         diags = cli.validate(cli.load_config(path))
-        message = "dataset dims 1->1 do not match model dims 2->1"
-        assert any(d.severity == "fatal" and d.message == message for d in diags)
+        assert [str(d) for d in diags] == [f"fatal: {message}"]
         assert cli.main(["run", str(path)]) == 2
         assert not out.exists()
+
+    def test_dataset_dims_mandatory(self, tmp_path):
+        # the dataset's sizes come from the model, so the model must name them
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\n")
+        self._dataset_refused(
+            tmp_path,
+            data,
+            {"kind": "linear"},
+            "model recipe is invalid: model in_dim must be a positive integer, got None",
+        )
+        self._dataset_refused(tmp_path, data, None, "dataset requires an explicit model recipe")
+
+    def test_dataset_dims_must_match_the_model(self, tmp_path):
+        # linear in_dim 2 reads 2+1 columns; the refusal is load_dataset's own
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\n-0.5,0.2\n")
+        with pytest.raises(ConfigurationError) as refusal:
+            load_dataset(data, 2, 1)
+        assert "data.csv has 2 columns, expected 2+1" in str(refusal.value)
+        self._dataset_refused(tmp_path, data, {"kind": "linear", "in_dim": 2}, refusal.value)
+
+    def test_missing_dataset_file_is_fatal(self, tmp_path):
+        data = tmp_path / "missing.csv"
+        with pytest.raises(ConfigurationError) as refusal:
+            load_dataset(data, 2, 1)
+        assert "cannot read dataset" in str(refusal.value)
+        self._dataset_refused(tmp_path, data, {"kind": "linear", "in_dim": 2}, refusal.value)
+
+    def test_dataset_sizes_named_in_the_config_are_ignored(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\n-0.25,0.5\n")
+        dataset = {"path": str(data), "in_dim": 1, "out_dim": 1}
+        reports = []
+        for name, fields in (("named", dataset), ("bare", {"path": str(data)})):
+            out = tmp_path / name
+            path = write_config(
+                tmp_path,
+                name=f"{name}.json",
+                experiment="trajectory",
+                algorithms=["gd"],
+                steps=5,
+                dims=[1],
+                model={"kind": "linear", "in_dim": 1},
+                dataset=fields,
+                out_dir=str(out),
+            )
+            diags = cli.validate(cli.load_config(path))
+            if name == "named":
+                assert [str(d) for d in diags] == [
+                    "warning: unknown dataset key 'in_dim' is ignored",
+                    "warning: unknown dataset key 'out_dim' is ignored",
+                ]
+            else:
+                assert diags == []
+            assert cli.main(["run", str(path)]) == 0
+            reports.append(json.loads((out / "report.json").read_text())["results"])
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "config",
@@ -178,8 +220,17 @@ class TestValidate:
             {"kind": "linear", "in_dim": 0},
             {"kind": "mlp-tanh", "in_dim": 1, "hidden": True},
             {"kind": "mlp-tanh", "in_dim": 1, "hidden": 1, "bias": "false"},
+            {"kind": "mlp-tanh", "in_dim": 1},
+            {"kind": ["linear"], "in_dim": 1},
         ],
-        ids=["fractional-size", "zero-size", "boolean-size", "string-bias"],
+        ids=[
+            "fractional-size",
+            "zero-size",
+            "boolean-size",
+            "string-bias",
+            "missing-size",
+            "list-kind",
+        ],
     )
     def test_model_recipe_must_be_exact(self, tmp_path, model):
         out = tmp_path / "out"
@@ -193,7 +244,7 @@ class TestValidate:
         model = {"kind": "mlp-tanh", "in_dim": 1, "hidden": 1, "bias": False}
         path = write_config(tmp_path, model=model, dims=[2])
         assert cli.validate(cli.load_config(path)) == []
-        assert cli._build_model(model).param_dim == 2
+        assert model_from_recipe(model).param_dim == 2
 
     def test_non_finite_dataset_rejected(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -202,7 +253,7 @@ class TestValidate:
         path = write_config(
             tmp_path,
             model={"kind": "linear", "in_dim": 1},
-            dataset={"path": str(data), "in_dim": 1, "out_dim": 1},
+            dataset={"path": str(data)},
             out_dir=str(out),
         )
         diags = cli.validate(cli.load_config(path))
@@ -240,6 +291,11 @@ class TestValidate:
             ({"h_list": [0.1, True]}, "h_list"),
             ({"theta0": [0.5, False]}, "theta0"),
             ({"theta0": [0.5, float("nan")]}, "theta0"),
+            # 401-digit JSON integers, which raised a raw OverflowError: as a noise
+            # variance at the first ngd evaluation, as a theta0 entry at the start state
+            ({"noise_variance": 10**400}, "noise_variance"),
+            ({"h": 10**400}, "h "),
+            ({"theta0": [10**400, 0.5]}, "theta0"),
         ],
         ids=[
             "negative-seed",
@@ -264,6 +320,9 @@ class TestValidate:
             "boolean-h-list-entry",
             "boolean-theta0-entry",
             "nan-theta0-entry",
+            "huge-noise-variance",
+            "huge-h",
+            "huge-theta0-entry",
         ],
     )
     def test_seeds_counts_and_numbers_are_exact(self, tmp_path, overrides, key):
@@ -340,9 +399,9 @@ class TestValidate:
             {
                 "experiment": "classify",
                 "model": {"kind": "linear", "in_dim": 2},
-                "dataset": {"path": "data.csv", "in_dim": 1, "out_dim": 1},
+                "dataset": {"path": "data.csv"},
             },
-            lambda: dataset_loss(linear_model(2), load_dataset("data.csv", 1, 1)),
+            lambda: load_dataset("data.csv", 2, 1),
         ),
         "tolerance-at-threshold": (
             {"tolerance": 1e-3, "violation_threshold": 1e-3},
@@ -566,7 +625,7 @@ class TestRun:
             trials=2,
             states_per_trial=1,
             model={"kind": "mlp-tanh", "in_dim": 1, "hidden": 1, "out_dim": 1},
-            dataset={"path": str(data), "in_dim": 1, "out_dim": 1},
+            dataset={"path": str(data)},
             out_dir=str(out),
         )
         assert cli.main(["run", str(path)]) == 0
@@ -612,7 +671,7 @@ class TestRun:
             trials=2,
             states_per_trial=1,
             model={"kind": "mlp-tanh", "in_dim": 1, "hidden": 1, "out_dim": 1},
-            dataset={"path": str(data), "in_dim": 1, "out_dim": 1},
+            dataset={"path": str(data)},
         )
         reports = {}
         for experiment in ("table", "classify"):

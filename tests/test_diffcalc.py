@@ -27,7 +27,7 @@ from equiflow import (
     second_derivatives,
 )
 import equiflow
-from equiflow.diffcalc import Dual2, seed_duals
+from equiflow.diffcalc import Dual2, check_dim, seed_duals
 from conftest import assert_same_bits, counting, quadratic_loss, tanh_unit_loss
 
 
@@ -121,6 +121,54 @@ class TestWrongLengthPoint:
         for read in readers:
             with pytest.raises(ConfigurationError, match="length 2, got shape"):
                 read(point)
+
+
+class TestNonNumericPoint:
+    @pytest.mark.parametrize(
+        "point", [["a", "b"], [[0.1], [0.2, 0.3]], {"x": 1.0}], ids=["strings", "ragged", "dict"]
+    )
+    def test_every_reader_refuses_by_name(self, point):
+        # a string entry used to raise numpy's raw ValueError
+        loss = ScalarField(2, lambda t: t[0] * t[1], name="probe loss")
+        shear = catalog("shear", 2, seed=0).forward_map
+        readers = [loss.value, lambda p: gradient(loss, p), shear.value]
+        readers += [lambda p: gradient_and_hessian(loss, p), lambda p: jacobian(shear, p)]
+        for read in readers:
+            with pytest.raises(ConfigurationError, match="takes a numeric point, got"):
+                read(point)
+        with pytest.raises(ConfigurationError, match="^probe loss takes a numeric point"):
+            gradient(loss, ["a", "b"])
+
+
+class TestDimensionRule:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ScalarField(1.5, sum),
+            lambda: ScalarField(True, sum),
+            lambda: ScalarField(0, sum),
+            lambda: ScalarField(equiflow.DIM_CAP + 1, sum),
+            lambda: VectorMap(2.0, 2, lambda t: t),
+            lambda: VectorMap(2, True, lambda t: t),
+            lambda: VectorMap(2, equiflow.DIM_CAP + 1, lambda t: t),
+        ],
+        ids=[
+            "field-fractional",
+            "field-boolean",
+            "field-zero",
+            "field-past-the-cap",
+            "map-fractional-in",
+            "map-boolean-out",
+            "map-past-the-cap",
+        ],
+    )
+    def test_refused_with_the_cap_named(self, make):
+        with pytest.raises(ConfigurationError, match="dimension cap"):
+            make()
+
+    def test_numpy_integers_are_dimensions(self):
+        assert ScalarField(np.int64(3), sum).dim == 3
+        check_dim(equiflow.DIM_CAP, "dim")
 
 
 class TestJacobian:

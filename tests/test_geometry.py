@@ -435,7 +435,11 @@ class TestCatalog:
 
 
 class TestCheckPositive:
-    @pytest.mark.parametrize("value", [0, -1.0, np.nan, np.inf, -np.inf, True, "x", None])
+    @pytest.mark.parametrize(
+        "value",
+        [0, -1.0, np.nan, np.inf, -np.inf, True, "x", None]
+        + [pytest.param(10**400, id="ten-to-the-400"), pytest.param(2**1024, id="two-to-1024")],
+    )
     def test_refuses(self, value):
         with pytest.raises(ConfigurationError, match="^horizon must be positive"):
             check_positive(value, "horizon")

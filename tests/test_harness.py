@@ -125,7 +125,9 @@ class TestFlowBuilderValidation:
                 algorithm, dataset_loss(model, data), model=model, data=data, noise_variance=0.0
             )
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, "x"])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, "x", pytest.param(10**400, id="ten-to-the-400")]
+    )
     @pytest.mark.parametrize(
         "algorithm, setting, what",
         [
@@ -137,7 +139,8 @@ class TestFlowBuilderValidation:
     )
     def test_non_finite_setting_refused(self, algorithm, setting, what, value):
         # NaN noise variance used to reach the SVD, an infinite one or an infinite
-        # epsilon gave a zero flow, and "x" raised a raw TypeError
+        # epsilon gave a zero flow, "x" raised a raw TypeError, and 10**400 a raw
+        # OverflowError at the first evaluation
         model, data = default_recipe(2, seed=0)
         with pytest.raises(ConfigurationError, match=f"^{what} must be positive"):
             FlowBuilder(
@@ -478,6 +481,8 @@ def classify_gd(**counts):
         (lambda: classify_gd(trials_per_family=1.5), 1.5),
         (lambda: classify_gd(trials_per_family=True), True),
         (lambda: classify_gd(states_per_trial=1.5), 1.5),
+        (lambda: default_recipe(2.0, kind="mlp-tanh"), 2.0),
+        (lambda: default_recipe(0), 0),
     ],
     ids=[
         "catalog-fractional-dim",
@@ -489,6 +494,8 @@ def classify_gd(**counts):
         "classify-fractional-trials",
         "classify-boolean-trials",
         "classify-fractional-states",
+        "default_recipe-float-dim",
+        "default_recipe-zero-dim",
     ],
 )
 def test_malformed_count_is_refused_by_value(call, value):

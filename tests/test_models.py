@@ -1,7 +1,10 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
+
+import equiflow.cli as cli
 
 from equiflow import (
     FAMILIES,
@@ -25,6 +28,7 @@ from equiflow import (
     pullback_loss,
 )
 from equiflow.diffcalc import Dual2
+from equiflow.models import MODEL_KINDS, model_from_recipe
 from conftest import (
     AFFINE_FAMILIES,
     assert_same_bits,
@@ -173,6 +177,78 @@ class TestNetworkJacobian:
         with np.errstate(over="ignore"):
             with pytest.raises(EvaluationDomainError, match="jacobian of square output"):
                 network_jacobian(model, data, [1.0])
+
+
+class TestModelKinds:
+    def test_each_row_reads_its_constructor_parameters(self):
+        for kind, row in MODEL_KINDS.items():
+            assert row.fields == tuple(inspect.signature(row.build).parameters), kind
+
+    def test_cli_binds_no_model_constructor(self):
+        assert not {"linear_model", "mlp_tanh"} & set(vars(cli))
+
+    def test_absent_fields_take_the_constructor_defaults(self):
+        model = model_from_recipe({"kind": "mlp-tanh", "in_dim": 2, "hidden": 1})
+        assert (model.out_dim, model.param_dim) == (1, 5)
+        assert model_from_recipe({"kind": "linear", "in_dim": 3}).param_dim == 3
+
+    @pytest.mark.parametrize(
+        "recipe, message",
+        [
+            ({"kind": "linear"}, "model in_dim must be a positive integer, got None"),
+            (
+                {"kind": "mlp-tanh", "in_dim": 1},
+                "model hidden must be a positive integer, got None",
+            ),
+            ({"kind": "conv", "in_dim": 1}, "unknown model kind 'conv'"),
+            ({"kind": ["linear"]}, "unknown model kind ['linear']"),
+            ({}, "unknown model kind None"),
+        ],
+        ids=["linear-in-dim", "mlp-hidden", "unknown-kind", "list-kind", "no-kind"],
+    )
+    def test_malformed_recipe_refused(self, recipe, message):
+        with pytest.raises(ConfigurationError) as refusal:
+            model_from_recipe(recipe)
+        assert str(refusal.value) == message
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: linear_model(0), "model in_dim must be a positive integer, got 0"),
+            (lambda: linear_model(1.5), "model in_dim must be a positive integer, got 1.5"),
+            (lambda: linear_model(True), "model in_dim must be a positive integer, got True"),
+            (lambda: linear_model(-2, 1), "model in_dim must be a positive integer, got -2"),
+            (lambda: linear_model(2, 0), "model out_dim must be a positive integer, got 0"),
+            (lambda: mlp_tanh(1, 0), "model hidden must be a positive integer, got 0"),
+            (lambda: mlp_tanh(1, 1, 1, bias="no"), "model bias must be true or false, got 'no'"),
+            (
+                lambda: linear_model(17),
+                "linear parameter count must be an integer within the dimension cap "
+                "[1, 16], got 17",
+            ),
+        ],
+        ids=[
+            "linear-zero",
+            "linear-fractional",
+            "linear-boolean",
+            "linear-negative",
+            "linear-zero-out",
+            "mlp-zero-hidden",
+            "mlp-string-bias",
+            "linear-past-the-cap",
+        ],
+    )
+    def test_constructor_refuses_malformed_sizes(self, build, message):
+        with pytest.raises(ConfigurationError) as refusal:
+            build()
+        assert str(refusal.value) == message
+
+    @pytest.mark.parametrize(
+        "param_dim", [0, 2.5, True, 17], ids=["zero", "fractional", "boolean", "past-the-cap"]
+    )
+    def test_model_parameter_count_is_a_dimension(self, param_dim):
+        with pytest.raises(ConfigurationError, match="dimension cap"):
+            Model("probe", 1, 1, param_dim, lambda x, theta: theta)
 
 
 class TestFisherMatrix:
