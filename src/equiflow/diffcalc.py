@@ -217,11 +217,21 @@ def check_dim(value, what: str) -> None:
         raise ConfigurationError(f"{what} must be {cap}, got {value!r}")
 
 
+def _is_real(entry) -> bool:
+    """A real number; a boolean or a numeric string is not one."""
+    return isinstance(entry, numbers.Real) and not isinstance(entry, bool)
+
+
 def _point(theta, dim: int, name: str) -> np.ndarray:
-    """`theta` as a float array, refused unless it is numeric with shape (dim,)."""
+    """`theta` as a float array, refused unless every entry is a real number and
+    its shape is (dim,).  An integer or float ndarray is read with no per-entry
+    check; anything else is checked entry by entry before the float conversion."""
     try:
+        if not (isinstance(theta, np.ndarray) and theta.dtype.kind in "fiu"):
+            if not all(map(_is_real, np.asarray(theta, dtype=object).flat)):
+                raise TypeError("an entry is not a real number")
         point = np.asarray(theta, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{name} takes a numeric point, got {theta!r}") from exc
     if point.shape != (dim,):
         raise ConfigurationError(f"{name} takes a point of length {dim}, got shape {point.shape}")
@@ -342,18 +352,19 @@ def derivative_pass(fn: Callable, theta, order: int):
     else:
         seeds = seed_duals(theta, order)
     outs = np.asarray(fn(seeds), dtype=object)
-    values = np.zeros(outs.shape)
-    first = np.zeros(outs.shape + (n,))
-    second = np.zeros(outs.shape + (n, n)) if order == 2 else None
-    for k in np.ndindex(outs.shape):
-        out = outs[k]
+    values = np.zeros(outs.size)
+    first = np.zeros((outs.size, n))
+    second = np.zeros((outs.size, n, n)) if order == 2 else None
+    for k, out in enumerate(outs.flat):
         if not isinstance(out, Dual2):
             values[k] = out
             continue
         values[k], first[k] = out.v, out.g
         if order == 2:
             second[k] = out.h  # a scalar h broadcasts, keeping the sign of a zero
+    values, first = values.reshape(outs.shape), first.reshape(outs.shape + (n,))
     if order == 2:
+        second = second.reshape(outs.shape + (n, n))
         second = 0.5 * (second + np.swapaxes(second, -1, -2))
     return values, first, second
 

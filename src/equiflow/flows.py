@@ -111,9 +111,10 @@ def _newton_flow(loss: ScalarField, connection: Optional[Connection], share) -> 
 def ggn_matrix(
     model: Model, data: Dataset, weight, theta, chart: Optional[VectorMap] = None
 ) -> np.ndarray:
-    """Generalized Gauss-Newton form (1/|S|) sum J^T M J over `network_jacobian`
-    in index order, symmetrized; with a `chart` theta_bar -> theta, the barred
-    chart's form."""
+    """Generalized Gauss-Newton form (1/|S|) sum_k J_k^T M J_k over the stacked
+    `network_jacobian`, symmetrized; with a `chart` theta_bar -> theta, the barred
+    chart's form.  The per-sample products are one stacked matmul, reduced from
+    zero in sample order, so the sum equals a loop over the samples bit for bit."""
     weight = np.asarray(weight, dtype=float)
     p = model.out_dim
     if weight.shape != (p, p):
@@ -124,9 +125,8 @@ def ggn_matrix(
         raise ConfigurationError("GGN weight must be symmetric positive semidefinite")
     check_dataset_dims(model, data.inputs.shape[1], data.targets.shape[1])
     theta = np.asarray(theta, dtype=float)
-    total = np.zeros((model.param_dim, model.param_dim))
-    for jac in network_jacobian(model, data, theta, chart):
-        total = total + jac.T @ (weight @ jac)
+    jacs = network_jacobian(model, data, theta, chart)
+    total = np.add.reduce(np.swapaxes(jacs, 1, 2) @ (weight @ jacs), axis=0, initial=0.0)
     out = total / data.size
     return 0.5 * (out + out.T)
 

@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, EvaluationDomainError
 from .flows import FlowField
-from .geometry import Diffeomorphism, OptimizerState, check_positive, pushforward_state
+from .geometry import Diffeomorphism, OptimizerState, check_count, check_positive
+from .geometry import pushforward_state
 
 SCHEMES = ("euler", "rk4")
 DEFAULT_SCHEME = "euler"
@@ -65,8 +66,9 @@ def integrate(
 
 
 def check_step_count(steps: int) -> None:
-    """Refuse a step count outside [1, MAX_STEPS]."""
-    if not 1 <= steps <= MAX_STEPS:
+    """Refuse a step count that is not an integer in [1, MAX_STEPS]; a boolean is not one."""
+    check_count(steps, "step count", least=1)
+    if steps > MAX_STEPS:
         raise ConfigurationError(f"step count must be in [1, {MAX_STEPS}], got {steps}")
 
 

@@ -1,9 +1,15 @@
 """Toy differentiable models and mean-squared-error losses.
 
 Models are small enough that the whole parameter vector fits in `DIM_CAP`;
-their forward maps are written with numpy operations only, so they evaluate
-identically on float arrays and on dual-number seeds.  `network_jacobian` gives
-every per-sample output Jacobian, in the base chart or through a `chart` map.
+their forward maps are written with numpy operations only, so they evaluate on
+float arrays and on dual-number seeds alike.  A forward map takes one input row
+or a matrix of rows and returns the same rows (see `Model`).  On dual seeds a
+batch is bit-identical to evaluating row by row, since each output's dual sum
+keeps its operand order; a float batch goes through BLAS and may differ from
+row-by-row evaluation in the last bit, so no report reads one: `dataset_loss`
+evaluates row by row.  `network_jacobian` evaluates every sample in one call on
+dual seeds and gives the stacked per-sample output Jacobians, in the base chart
+or through a `chart` map.
 Each model kind is one row of `MODEL_KINDS`, its constructor and recipe fields;
 `model_from_recipe` reads a recipe, and the constructors refuse malformed sizes.
 """
@@ -57,8 +63,12 @@ class Dataset:
 class Model:
     """A parametric map (x, theta) -> output vector.
 
-    `forward` must be dual-safe: arithmetic on `theta` entries only via
-    numpy operations that `diffcalc`'s dual numbers support.
+    `forward` takes an input row of shape (in_dim,) and returns shape
+    (out_dim,), or a matrix of rows (S, in_dim) and returns (S, out_dim), row k
+    the output of input row k.  It must be dual-safe: arithmetic on `theta`
+    entries only via numpy operations that `diffcalc`'s dual numbers support.
+    On dual seeds a batch equals the stacked rows bit for bit; on floats it may
+    differ from them in the last bit, since a batch goes through BLAS.
     """
 
     kind: str
@@ -78,7 +88,7 @@ def linear_model(in_dim: int, out_dim: int = 1) -> Model:
 
     def forward(x, theta):
         w = np.asarray(theta).reshape(out_dim, in_dim)
-        return w @ x
+        return (w @ np.transpose(x)).T
 
     return Model("linear", in_dim, out_dim, in_dim * out_dim, forward)
 
@@ -101,14 +111,14 @@ def mlp_tanh(in_dim: int, hidden: int, out_dim: int = 1, bias: bool = True) -> M
         ofs = 0
         w1 = theta[ofs : ofs + n_w1].reshape(hidden, in_dim)
         ofs += n_w1
-        pre = w1 @ x
+        pre = (w1 @ np.transpose(x)).T
         if bias:
             pre = pre + theta[ofs : ofs + n_b1]
             ofs += n_b1
         act = np.tanh(pre)
         w2 = theta[ofs : ofs + n_w2].reshape(out_dim, hidden)
         ofs += n_w2
-        out = w2 @ act
+        out = (w2 @ act.T).T
         if bias:
             out = out + theta[ofs : ofs + n_b2]
         return out
@@ -172,26 +182,27 @@ def dataset_loss(model: Model, data: Dataset) -> ScalarField:
 
 def network_jacobian(
     model: Model, data: Dataset, theta, chart: Optional[VectorMap] = None
-) -> list[np.ndarray]:
-    """Per-sample (out_dim, param_dim) Jacobians of the model outputs, in index order.
+) -> np.ndarray:
+    """The (S, out_dim, param_dim) array of per-sample output Jacobians, S = data.size;
+    entry k is the Jacobian at sample k.
 
-    One `diffcalc.derivative_pass` reads every sample.  With a `chart` theta_bar -> theta
-    (a reparameterization's inverse), `theta` is barred, entry k is the Jacobian of
-    theta_bar -> forward(x_k, chart(theta_bar)), and the pass reads the outputs as a
-    `diffcalc.Pullback` through the chart: an affine chart seeds from its matrix, any
-    other maps the seeds once.
+    One `diffcalc.derivative_pass` calls `model.forward` once, on every input row.
+    With a `chart` theta_bar -> theta (a reparameterization's inverse), `theta` is
+    barred, entry k is the Jacobian of theta_bar -> forward(x_k, chart(theta_bar)),
+    and the pass reads the outputs as a `diffcalc.Pullback` through the chart: an
+    affine chart seeds from its matrix, any other maps the seeds once.
     """
     if chart is not None and (chart.in_dim, chart.out_dim) != (model.param_dim,) * 2:
         raise ConfigurationError(f"chart dims do not match {model.param_dim} parameters")
 
     def outputs(params):
-        return [np.reshape(model.forward(x, params), model.out_dim) for x in data.inputs]
+        return np.reshape(model.forward(data.inputs, params), (data.size, model.out_dim))
 
     fn = outputs if chart is None else diffcalc.Pullback(outputs, chart)
     jac = diffcalc.derivative_pass(fn, theta, order=1)[1]
     if not np.all(np.isfinite(jac)):
         raise EvaluationDomainError(f"jacobian of {model.kind} output non-finite at {theta}")
-    return list(jac)
+    return jac
 
 
 def load_dataset(path, in_dim: int, out_dim: int) -> Dataset:

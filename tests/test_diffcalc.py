@@ -125,10 +125,20 @@ class TestWrongLengthPoint:
 
 class TestNonNumericPoint:
     @pytest.mark.parametrize(
-        "point", [["a", "b"], [[0.1], [0.2, 0.3]], {"x": 1.0}], ids=["strings", "ragged", "dict"]
+        "point",
+        [
+            ["a", "b"],
+            ["0.5", "1"],
+            [True, 1.0],
+            np.array([True, False]),
+            [[0.1], [0.2, 0.3]],
+            {"x": 1.0},
+        ],
+        ids=["strings", "numeric-strings", "booleans", "boolean-array", "ragged", "dict"],
     )
     def test_every_reader_refuses_by_name(self, point):
-        # a string entry used to raise numpy's raw ValueError
+        # a string entry used to raise numpy's raw ValueError, and numeric
+        # strings and booleans were read as numbers
         loss = ScalarField(2, lambda t: t[0] * t[1], name="probe loss")
         shear = catalog("shear", 2, seed=0).forward_map
         readers = [loss.value, lambda p: gradient(loss, p), shear.value]
@@ -138,6 +148,15 @@ class TestNonNumericPoint:
                 read(point)
         with pytest.raises(ConfigurationError, match="^probe loss takes a numeric point"):
             gradient(loss, ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "point",
+        [[0.5, 1], (0.5, 1.0), [np.float64(0.5), np.int64(1)], np.array([0.5, 1.0], dtype=object)],
+        ids=["list", "tuple", "numpy-scalars", "object-array"],
+    )
+    def test_real_entries_read_as_the_float_point(self, point):
+        loss = ScalarField(2, lambda t: t[0] * t[1], name="probe loss")
+        assert np.array_equal(gradient(loss, point), gradient(loss, np.array([0.5, 1.0])))
 
 
 class TestDimensionRule:

@@ -9,6 +9,7 @@ from equiflow import (
     SingularMatrixError,
     VectorMap,
     adam_stationary_flow,
+    catalog,
     dataset_loss,
     default_recipe,
     fisher_matrix,
@@ -207,20 +208,45 @@ class TestFisherAndGgn:
         assert str(ggn_refusal.value) == "dataset dims 1->1 do not match model dims 2->1"
 
 
-def per_sample_ggn(model, data, weight, g, theta_bar):
-    """The barred GGN built one sample at a time: each sample's Jacobian of
-    theta_bar -> forward(x_k, g^-1(theta_bar)) from its own seeds."""
+def loop_ggn(model, data, weight, theta, chart=None):
+    """The GGN built one sample at a time: each sample's Jacobian J_k of
+    theta -> forward(x_k, theta), or of theta_bar -> forward(x_k, chart(theta_bar)),
+    from its own seeds, and total = total + J_k^T (M J_k) from zeros in index order."""
     total = np.zeros((model.param_dim, model.param_dim))
     for x in data.inputs:
-        barred = VectorMap(
-            model.param_dim,
-            model.out_dim,
-            lambda tbar, x=x: model.forward(x, g.inverse_map.fn(tbar)),
-        )
-        jac = jacobian(barred, theta_bar)
+        fn = lambda t, x=x: model.forward(x, t if chart is None else chart.fn(t))
+        jac = jacobian(VectorMap(model.param_dim, model.out_dim, fn), theta)
         total = total + jac.T @ (weight @ jac)
     out = total / data.size
     return 0.5 * (out + out.T)
+
+
+def per_sample_ggn(model, data, weight, g, theta_bar):
+    """The barred GGN built one sample at a time, through g^-1."""
+    return loop_ggn(model, data, weight, theta_bar, g.inverse_map)
+
+
+class TestGgnContraction:
+    @pytest.mark.parametrize("family", (None, "affine", "shear"))
+    @pytest.mark.parametrize("out_dim", (1, 2))
+    @pytest.mark.parametrize("kind", ("linear", "mlp-tanh"))
+    def test_stacked_form_is_the_sample_loop(self, kind, out_dim, family):
+        # one stacked product reduced from zero in sample order adds the same
+        # products in the same order as the loop
+        model = linear_model(2, out_dim) if kind == "linear" else mlp_tanh(1, 2, out_dim)
+        rng = np.random.default_rng([out_dim, len(kind)])
+        data = Dataset(rng.uniform(-1, 1, (6, model.in_dim)), rng.uniform(-1, 1, (6, out_dim)))
+        factor = rng.normal(size=(out_dim, out_dim))
+        weight = factor @ factor.T
+        point = rng.uniform(-1.5, 1.5, model.param_dim)
+        chart = None
+        if family is not None:
+            g = catalog(family, model.param_dim, seed=4)
+            point, chart = g.forward(point), g.inverse_map
+        got = ggn_matrix(model, data, weight, point, chart)
+        want = loop_ggn(model, data, weight, point, chart)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGgnChart:

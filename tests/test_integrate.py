@@ -86,6 +86,13 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError, match="100000"):
             integrate(flow, state_order1([1.0]), 0.1, MAX_STEPS + 1)
 
+    @pytest.mark.parametrize("steps", [2.5, True], ids=["fractional", "boolean"])
+    def test_step_count_must_be_an_integer(self, steps):
+        # 2.5 used to raise range()'s raw TypeError, and True ran one step
+        flow = default_flow_builder("gd", 2).build()
+        with pytest.raises(ConfigurationError, match="^step count must be a positive integer"):
+            integrate(flow, state_order1([0.3, -0.2]), 0.01, steps)
+
     @pytest.mark.parametrize("h", [np.nan, np.inf, True, "x"])
     def test_non_finite_step_size_refused(self, h):
         # a NaN step used to be taken and reported as divergence after step 1

@@ -27,7 +27,7 @@ from equiflow import (
     network_jacobian,
     pullback_loss,
 )
-from equiflow.diffcalc import Dual2
+from equiflow.diffcalc import Dual2, derivative_pass
 from equiflow.models import MODEL_KINDS, model_from_recipe
 from conftest import (
     AFFINE_FAMILIES,
@@ -94,7 +94,45 @@ class TestDatasetLoss:
             dataset_loss(model, data)
 
 
+class TestBatchedForward:
+    @pytest.mark.parametrize("order", (1, 2))
+    @pytest.mark.parametrize(
+        "model",
+        [linear_model(3, 2), mlp_tanh(2, 2, 2), mlp_tanh(1, 2, 1, bias=False)],
+        ids=["linear-3-2", "mlp-2-2-2", "mlp-1-2-1-no-bias"],
+    )
+    def test_batch_pass_is_the_stacked_row_passes(self, model, order):
+        # each output's dual sum keeps its operand order, so a matrix of rows
+        # gives every row's pass bit for bit, signs of zero included
+        rng = np.random.default_rng([model.param_dim, order])
+        inputs = rng.uniform(-1.5, 1.5, (5, model.in_dim))
+        inputs[0], inputs[1] = 0.0, -0.0
+        theta = rng.uniform(-1.5, 1.5, model.param_dim)
+        batch = derivative_pass(lambda t: model.forward(inputs, t), theta, order)
+        rows = [derivative_pass(lambda t, x=x: model.forward(x, t), theta, order) for x in inputs]
+        for part, got in enumerate(batch[:order + 1]):
+            want = np.stack([row[part] for row in rows])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestNetworkJacobian:
+    @pytest.mark.parametrize("family", (None, "affine", "shear"))
+    def test_one_forward_call_per_pass(self, family):
+        model, data = default_recipe(4, seed=3, kind="mlp-tanh")
+        shapes = []
+
+        def forward(x, theta):
+            shapes.append(np.shape(x))
+            return model.forward(x, theta)
+
+        counted = dataclasses.replace(model, forward=forward)
+        chart = None if family is None else catalog(family, 4, seed=4).inverse_map
+        theta = np.random.default_rng(5).uniform(-1.5, 1.5, 4)
+        jacs = network_jacobian(counted, data, theta, chart)
+        assert shapes == [data.inputs.shape]
+        assert jacs.shape == (data.size, model.out_dim, model.param_dim)
+
     def test_linear_rows_are_inputs(self):
         model = linear_model(3, 1)
         data = Dataset([[1.0, 2.0, 3.0], [0.0, -1.0, 0.5]], [[0.0], [0.0]])
