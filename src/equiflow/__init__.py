@@ -23,6 +23,7 @@ from .errors import (
 )
 from .flows import (
     FlowField,
+    GGNWeight,
     adam_stationary_flow,
     fisher_matrix,
     ggn_matrix,

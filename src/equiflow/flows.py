@@ -108,25 +108,50 @@ def _newton_flow(loss: ScalarField, connection: Optional[Connection], share) -> 
     return FlowField(tag, order=1, velocity=velocity, inverts=lambda theta: system(theta)[1])
 
 
+@dataclass(frozen=True)
+class GGNWeight:
+    """The output-space weight M of a GGN form, checked once, when it is made:
+    a square, finite, symmetric positive semidefinite matrix, kept read-only.
+    A flow builder makes its weight once; `ggn_matrix` wraps a plain array
+    on each call."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ConfigurationError(f"GGN weight shape {matrix.shape} is not square")
+        if not np.all(np.isfinite(matrix)):
+            raise ConfigurationError(f"GGN weight must be finite, got {matrix.tolist()}")
+        if np.max(np.abs(matrix - matrix.T)) > 1e-10 or np.min(np.linalg.eigvalsh(matrix)) < -1e-10:
+            raise ConfigurationError("GGN weight must be symmetric positive semidefinite")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+
+
 def ggn_matrix(
     model: Model, data: Dataset, weight, theta, chart: Optional[VectorMap] = None
 ) -> np.ndarray:
     """Generalized Gauss-Newton form (1/|S|) sum_k J_k^T M J_k over the stacked
     `network_jacobian`, symmetrized; with a `chart` theta_bar -> theta, the barred
     chart's form.  The per-sample products are one stacked matmul, reduced from
-    zero in sample order, so the sum equals a loop over the samples bit for bit."""
-    weight = np.asarray(weight, dtype=float)
+    zero in sample order, so the sum equals a loop over the samples bit for bit.
+
+    `weight` is a `GGNWeight`, already checked, or an array, checked here as a
+    `GGNWeight` once its shape is found to match the model's outputs."""
+    checked = isinstance(weight, GGNWeight)
+    matrix = weight.matrix if checked else np.asarray(weight, dtype=float)
     p = model.out_dim
-    if weight.shape != (p, p):
+    if matrix.shape != (p, p):
         raise ConfigurationError(
-            f"GGN weight shape {weight.shape} does not match output dim {p}"
+            f"GGN weight shape {matrix.shape} does not match output dim {p}"
         )
-    if np.max(np.abs(weight - weight.T)) > 1e-10 or np.min(np.linalg.eigvalsh(weight)) < -1e-10:
-        raise ConfigurationError("GGN weight must be symmetric positive semidefinite")
+    if not checked:
+        matrix = GGNWeight(matrix).matrix
     check_dataset_dims(model, data.inputs.shape[1], data.targets.shape[1])
     theta = np.asarray(theta, dtype=float)
     jacs = network_jacobian(model, data, theta, chart)
-    total = np.add.reduce(np.swapaxes(jacs, 1, 2) @ (weight @ jacs), axis=0, initial=0.0)
+    total = np.add.reduce(np.swapaxes(jacs, 1, 2) @ (matrix @ jacs), axis=0, initial=0.0)
     out = total / data.size
     return 0.5 * (out + out.T)
 

@@ -158,6 +158,11 @@ def affine_diffeomorphism(matrix, shift=None, family="affine", label="") -> Diff
     shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
     if matrix.shape != (n, n) or shift.shape != (n,):
         raise ConfigurationError("affine map needs square matrix and matching shift")
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(shift))):
+        raise ConfigurationError(
+            f"affine map needs a finite matrix and shift, got {matrix.tolist()} "
+            f"and {shift.tolist()}"
+        )
     if np.linalg.cond(matrix) > MAX_CONDITION:
         raise SingularMatrixError("affine matrix is numerically singular")
     inv = np.linalg.inv(matrix)
@@ -180,35 +185,42 @@ def shear_diffeomorphism(coeffs, func: str = "sin", label="") -> Diffeomorphism:
 
     The strictly lower-triangular coefficient matrix guarantees a
     unit-determinant Jacobian and an exact forward-substitution inverse.
+    Both maps evaluate phi once per entry that a nonzero coefficient reads,
+    and add the terms of entry k in the order j = 0, ..., k-1.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[0]
     if coeffs.shape != (n, n) or np.any(np.triu(coeffs) != 0.0):
         raise ConfigurationError("shear coefficients must be strictly lower triangular")
+    if not np.all(np.isfinite(coeffs)):
+        raise ConfigurationError(f"shear coefficients must be finite, got {coeffs.tolist()}")
     if func not in _SHEAR_FUNCS:
         raise ConfigurationError(f"unknown shear function {func!r}")
     phi = _SHEAR_FUNCS[func]
+    # the j < k whose coefficient C[k, j] is nonzero, and the entries some term reads
+    terms = [[j for j in range(k) if coeffs[k, j] != 0.0] for k in range(n)]
+    read = np.any(coeffs != 0.0, axis=0)
 
     def fwd(theta):
         theta = np.asarray(theta)
-        out = [theta[0]]
-        for k in range(1, n):
+        phis = [phi(theta[j]) if read[j] else None for j in range(n)]
+        out = []
+        for k in range(n):
             acc = theta[k]
-            for j in range(k):
-                if coeffs[k, j] != 0.0:
-                    acc = acc + coeffs[k, j] * phi(theta[j])
+            for j in terms[k]:
+                acc = acc + coeffs[k, j] * phis[j]
             out.append(acc)
         return np.array(out)
 
     def bwd(tbar):
         tbar = np.asarray(tbar)
-        out = [tbar[0]]
-        for k in range(1, n):
+        out, phis = [], []
+        for k in range(n):
             acc = tbar[k]
-            for j in range(k):
-                if coeffs[k, j] != 0.0:
-                    acc = acc - coeffs[k, j] * phi(out[j])
+            for j in terms[k]:
+                acc = acc - coeffs[k, j] * phis[j]
             out.append(acc)
+            phis.append(phi(acc) if read[k] else None)
         return np.array(out)
 
     return Diffeomorphism(

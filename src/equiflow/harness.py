@@ -32,9 +32,9 @@ from .flows import (
     ADAM_EPSILON,
     NESTEROV_DAMPING,
     FlowField,
+    GGNWeight,
     _newton_flow,
     adam_stationary_flow,
-    fisher_matrix,
     ggn_matrix,
     gradient_flow,
     nesterov_flow,
@@ -124,8 +124,11 @@ class FlowBuilder:
 
     Building with `reparam=None` yields the base-chart flow; building with a
     diffeomorphism yields the flow computed intrinsically in the barred
-    chart.  A Fisher row's form is `fisher_matrix` at `noise_variance`.
-    Building is deterministic, so repeated builds are identical.
+    chart.  A Fisher row's form is the GGN form with weight
+    I / `noise_variance` (`fisher_matrix`'s), a GGN row's with weight I; the
+    builder makes that `GGNWeight` once, when it is made, so the weight is
+    checked once however many forms its flows evaluate.  Building is
+    deterministic, so repeated builds are identical.
 
     The builder keeps the last matrix its flow inverts, computed in the
     base chart and in the most recent barred chart (matched by identity),
@@ -145,6 +148,8 @@ class FlowBuilder:
     epsilon: float = ADAM_EPSILON
     # (reparam is None) -> (reparam, theta bytes, value) of that chart's last value
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the metric row's GGNWeight, None for a row without a metric
+    _weight: Optional[GGNWeight] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_known("algorithm", self.algorithm, ALGORITHMS)
@@ -157,20 +162,22 @@ class FlowBuilder:
             check_positive(self.noise_variance, "noise variance")
         if self.model is not None and self.model.param_dim != self.loss.dim:
             raise ConfigurationError("model parameter dimension does not match loss")
+        if metric is not None:
+            weight = np.eye(self.model.out_dim)
+            if metric == "fisher":
+                weight = weight / self.noise_variance
+            object.__setattr__(self, "_weight", GGNWeight(weight))
 
     @property
     def dim(self) -> int:
         return self.loss.dim
 
-    def _precondition_fn(self, reparam: Optional[Diffeomorphism], metric: str):
+    def _precondition_fn(self, reparam: Optional[Diffeomorphism]):
         # In the barred chart the model reads its parameters through g^-1.
         chart = None if reparam is None else reparam.inverse_map
-        model, data = self.model, self.data
-        if metric == "fisher":
-            form_at = lambda theta: fisher_matrix(model, data, self.noise_variance, theta, chart)
-        else:
-            form_at = lambda theta: ggn_matrix(model, data, np.eye(model.out_dim), theta, chart)
-        shared = self._shared(reparam, lambda theta: (form_at(theta),))
+        model, data, weight = self.model, self.data, self._weight
+        form_at = lambda theta: (ggn_matrix(model, data, weight, theta, chart),)
+        shared = self._shared(reparam, form_at)
         return lambda theta: shared(theta)[0]
 
     def _shared(self, reparam: Optional[Diffeomorphism], compute):
@@ -201,7 +208,7 @@ class FlowBuilder:
         # None is the flat connection (Gamma = 0): the base chart's, and a
         # barred chart's under an affine map.  Shears and composites compute theirs.
         connection = None if reparam is None or not transported else pullback_connection(reparam)
-        precond = None if metric is None else self._precondition_fn(reparam, metric)
+        precond = None if metric is None else self._precondition_fn(reparam)
         if dynamics == "adam":
             return adam_stationary_flow(loss, epsilon=self.epsilon)
         if dynamics == "newton":

@@ -6,10 +6,11 @@ float arrays and on dual-number seeds alike.  A forward map takes one input row
 or a matrix of rows and returns the same rows (see `Model`).  On dual seeds a
 batch is bit-identical to evaluating row by row, since each output's dual sum
 keeps its operand order; a float batch goes through BLAS and may differ from
-row-by-row evaluation in the last bit, so no report reads one: `dataset_loss`
-evaluates row by row.  `network_jacobian` evaluates every sample in one call on
-dual seeds and gives the stacked per-sample output Jacobians, in the base chart
-or through a `chart` map.
+row-by-row evaluation in the last bit.  `dataset_loss` and `network_jacobian`
+each call the forward map once per evaluation, on every input row: a float
+loss is the batch value, and a dual pass is identical to the rows'.
+`network_jacobian` gives the stacked per-sample output Jacobians, in the base
+chart or through a `chart` map.
 Each model kind is one row of `MODEL_KINDS`, its constructor and recipe fields;
 `model_from_recipe` reads a recipe, and the constructors refuse malformed sizes.
 """
@@ -161,21 +162,18 @@ def check_dataset_dims(model: Model, in_dim: int, out_dim: int) -> None:
 def dataset_loss(model: Model, data: Dataset) -> ScalarField:
     """Mean squared error (1/|S|) sum 1/2 ||f(x, theta) - y||^2.
 
-    Samples are accumulated in index order so repeated evaluations are
-    bit-reproducible.
+    One `model.forward` call evaluates every sample; the squares are summed
+    from zero in component order and the halves in sample order, so a dual
+    pass equals the per-sample loop bit for bit, while a float loss is the
+    batch value (see `Model`).
     """
     check_dataset_dims(model, data.inputs.shape[1], data.targets.shape[1])
     inputs, targets, size = data.inputs, data.targets, data.size
 
     def fn(theta):
-        total = 0.0
-        for k in range(size):
-            resid = model.forward(inputs[k], theta) - targets[k]
-            sq = 0.0
-            for comp in np.asarray(resid).reshape(-1):
-                sq = sq + comp * comp
-            total = total + 0.5 * sq
-        return total / size
+        resid = np.reshape(model.forward(inputs, theta), targets.shape) - targets
+        sq = np.add.reduce(resid * resid, axis=1, initial=0.0)
+        return np.add.reduce(0.5 * sq, initial=0.0) / size
 
     return ScalarField(model.param_dim, fn, name=f"mse[{model.kind}]")
 

@@ -86,6 +86,25 @@ def transform_bilinear(g, form, theta_bar):
     return 0.5 * (out + out.T)
 
 
+def loop_loss(model, data):
+    """The mean squared error evaluated one sample at a time: one forward call
+    per input row, each residual's squares added from zero in component order
+    and the halves from zero in sample order."""
+    inputs, targets, size = data.inputs, data.targets, data.size
+
+    def fn(theta):
+        total = 0.0
+        for k in range(size):
+            resid = model.forward(inputs[k], theta) - targets[k]
+            sq = 0.0
+            for comp in np.asarray(resid).reshape(-1):
+                sq = sq + comp * comp
+            total = total + 0.5 * sq
+        return total / size
+
+    return ScalarField(model.param_dim, fn, name=f"loop-mse[{model.kind}]")
+
+
 def output_map(model, x):
     """The map theta -> model.forward(x, theta) for one fixed input."""
     x = np.asarray(x, dtype=float)

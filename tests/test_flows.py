@@ -5,6 +5,7 @@ from equiflow import (
     FAMILIES,
     ConfigurationError,
     Dataset,
+    GGNWeight,
     ScalarField,
     SingularMatrixError,
     VectorMap,
@@ -206,6 +207,61 @@ class TestFisherAndGgn:
             ggn_matrix(model, data, np.eye(1), [0.0, 0.0])
         assert str(ggn_refusal.value) == str(loss_refusal.value)
         assert str(ggn_refusal.value) == "dataset dims 1->1 do not match model dims 2->1"
+
+
+class TestGgnWeight:
+    """A `GGNWeight` is checked once, when it is made; `ggn_matrix` and
+    `fisher_matrix` wrap a plain array on each call."""
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_weight_refused(self, bad):
+        model = linear_model(2, 1)
+        data = Dataset([[1.0, 0.0]], [[0.0]])
+        with pytest.raises(ConfigurationError, match="^GGN weight must be finite"):
+            GGNWeight([[bad]])
+        with pytest.raises(ConfigurationError, match="^GGN weight must be finite"):
+            ggn_matrix(model, data, [[bad]], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ([1.0, 2.0], "GGN weight shape (2,) is not square"),
+            ([[1.0, 2.0]], "GGN weight shape (1, 2) is not square"),
+            ([[1.0, 0.5], [0.0, 1.0]], "GGN weight must be symmetric positive semidefinite"),
+            ([[1.0, 0.0], [0.0, -1.0]], "GGN weight must be symmetric positive semidefinite"),
+        ],
+    )
+    def test_malformed_weight_refused_when_made(self, weight, message):
+        with pytest.raises(ConfigurationError) as refusal:
+            GGNWeight(weight)
+        assert str(refusal.value) == message
+
+    def test_weight_is_a_read_only_copy(self):
+        source = np.array([[2.0, 1.0], [1.0, 2.0]])
+        weight = GGNWeight(source)
+        source[0, 0] = 5.0
+        assert weight.matrix[0, 0] == 2.0
+        with pytest.raises(ValueError):
+            weight.matrix[0, 0] = 3.0
+
+    @pytest.mark.parametrize("family", (None, "affine", "shear"))
+    def test_checked_weight_gives_the_array_form(self, family):
+        model, data = default_recipe(4, seed=0, kind="mlp-tanh")
+        point = np.array([0.3, -0.2, 0.5, 0.1])
+        chart = None
+        if family is not None:
+            g = catalog(family, 4, seed=2)
+            point, chart = g.forward(point), g.inverse_map
+        array = np.eye(1) / 0.5
+        got = ggn_matrix(model, data, GGNWeight(array), point, chart)
+        assert got.tobytes() == ggn_matrix(model, data, array, point, chart).tobytes()
+        assert got.tobytes() == fisher_matrix(model, data, 0.5, point, chart).tobytes()
+
+    def test_checked_weight_must_match_the_outputs(self):
+        model = linear_model(2, 1)
+        data = Dataset([[1.0, 0.0]], [[0.0]])
+        with pytest.raises(ConfigurationError, match=r"^GGN weight shape \(2, 2\) does not match"):
+            ggn_matrix(model, data, GGNWeight(np.eye(2)), [0.0, 0.0])
 
 
 def loop_ggn(model, data, weight, theta, chart=None):

@@ -24,10 +24,13 @@ from equiflow import (
     pushforward_tangent,
     sample_diffeomorphism,
     second_derivatives,
+    shear_diffeomorphism,
     state_order1,
     state_order2,
     translation,
 )
+import equiflow.geometry
+from equiflow.diffcalc import derivative_pass
 from equiflow.geometry import (
     check_positive,
     random_invertible,
@@ -432,6 +435,104 @@ class TestCatalog:
         assert set(np.abs(p).sum(axis=0)) == {1.0}
         a = random_invertible(5, rng)
         assert np.linalg.cond(a) <= 50.0 + 1e-6
+
+
+def nested_shear(coeffs, phi):
+    """(forward, inverse) of the shear with these coefficients, phi evaluated
+    inside the inner loop: once per nonzero term, j = 0, ..., k-1 for entry k."""
+    n = coeffs.shape[0]
+
+    def fwd(theta):
+        theta = np.asarray(theta)
+        out = [theta[0]]
+        for k in range(1, n):
+            acc = theta[k]
+            for j in range(k):
+                if coeffs[k, j] != 0.0:
+                    acc = acc + coeffs[k, j] * phi(theta[j])
+            out.append(acc)
+        return np.array(out)
+
+    def bwd(tbar):
+        tbar = np.asarray(tbar)
+        out = [tbar[0]]
+        for k in range(1, n):
+            acc = tbar[k]
+            for j in range(k):
+                if coeffs[k, j] != 0.0:
+                    acc = acc - coeffs[k, j] * phi(out[j])
+            out.append(acc)
+        return np.array(out)
+
+    return fwd, bwd
+
+
+def shear_coefficients(n, seed):
+    """A strictly lower-triangular draw with C[n-1, 0] = 0."""
+    coeffs = np.tril(np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n)), k=-1)
+    coeffs[n - 1, 0] = 0.0
+    return coeffs
+
+
+class TestShearMaps:
+    @pytest.mark.parametrize("func", ("sin", "tanh"))
+    @pytest.mark.parametrize("n", (3, 4, 8))
+    def test_maps_are_the_nested_loop(self, n, func):
+        coeffs = shear_coefficients(n, seed=n)
+        g = shear_diffeomorphism(coeffs, func=func)
+        oracle = nested_shear(coeffs, {"sin": np.sin, "tanh": np.tanh}[func])
+        rng = np.random.default_rng([n, len(func)])
+        point = rng.uniform(-1.5, 1.5, n)
+        for map_, want_fn in zip((g.forward_map, g.inverse_map), oracle):
+            assert map_.fn(point).tobytes() == want_fn(point).tobytes()
+            for order in (1, 2):
+                got = derivative_pass(map_.fn, point, order)
+                want = derivative_pass(want_fn, point, order)
+                for part in range(order + 1):
+                    assert got[part].tobytes() == want[part].tobytes()
+
+    def test_phi_once_per_read_entry(self, monkeypatch):
+        # N = 4, C[3, 0] = 0: entries 0, 1 and 2 are read, entry 3 by no term
+        calls = []
+        monkeypatch.setitem(
+            equiflow.geometry._SHEAR_FUNCS, "sin", lambda x: calls.append(1) or np.sin(x)
+        )
+        g = shear_diffeomorphism(shear_coefficients(4, seed=1))
+        point = np.array([0.3, -0.8, 1.1, 0.5])
+        for evaluate in (g.forward, g.inverse):
+            calls.clear()
+            evaluate(point)
+            assert len(calls) == 3
+
+    def test_zero_coefficients_evaluate_no_phi(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(
+            equiflow.geometry._SHEAR_FUNCS, "sin", lambda x: calls.append(1) or np.sin(x)
+        )
+        g = shear_diffeomorphism(np.zeros((3, 3)))
+        point = np.array([0.3, -0.8, 1.1])
+        assert np.array_equal(g.forward(point), point) and np.array_equal(g.inverse(point), point)
+        assert calls == []
+
+
+class TestNonFiniteMaps:
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_affine_matrix_or_shift_refused_when_made(self, bad):
+        matrix, shift = np.eye(2), np.zeros(2)
+        for made in (
+            lambda: affine_diffeomorphism([[1.0, bad], [0.0, 1.0]]),
+            lambda: affine_diffeomorphism(matrix, [0.5, bad]),
+            lambda: translation([bad, 0.0]),
+        ):
+            with pytest.raises(ConfigurationError, match="^affine map needs a finite matrix"):
+                made()
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_shear_coefficient_refused_when_made(self, bad):
+        coeffs = np.zeros((3, 3))
+        coeffs[2, 1] = bad
+        with pytest.raises(ConfigurationError, match="^shear coefficients must be finite"):
+            shear_diffeomorphism(coeffs)
 
 
 class TestCheckPositive:

@@ -247,6 +247,20 @@ class TestSharedForm:
             assert np.array_equal(owner.inverted_matrix_fn(chart)(point), want)
             assert len(calls) == count
 
+    @pytest.mark.parametrize("algorithm", ["ngd", "ggn", "nngd", "agn"])
+    def test_builder_checks_its_weight_once(self, algorithm, monkeypatch):
+        # the weight's PSD test runs when the builder is made, not once per form
+        checks = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: checks.append(1) or eigvalsh(a))
+        builder = default_flow_builder(algorithm, 2, seed=0)
+        forms = self.count_forms(monkeypatch)
+        classify_equivariance(
+            builder, families=("affine", "shear"), trials_per_family=2, states_per_trial=2, seed=0
+        )
+        assert len(forms) >= 2 * 2 * 2 * 2  # (base + barred) x families x trials x states
+        assert len(checks) == 1
+
     def test_shared_form_is_read_only(self):
         builder = default_flow_builder("ggn", 2, seed=0)
         form = builder.inverted_matrix_fn(None)(np.array([0.3, -0.2]))

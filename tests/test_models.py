@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     AFFINE_FAMILIES,
     assert_same_bits,
     canonical_shear,
+    loop_loss,
     output_map,
     quadratic_model,
 )
@@ -51,7 +53,7 @@ class TestDatasetLoss:
         rng = np.random.default_rng(3)
         theta = rng.uniform(-1.0, 1.0, model.param_dim)
         inputs = rng.uniform(-1.0, 1.0, (4, 1))
-        targets = np.stack([model.forward(x, theta) for x in inputs])
+        targets = model.forward(inputs, theta)  # the batch evaluation the loss makes
         loss = dataset_loss(model, Dataset(inputs, targets))
         assert loss.value(theta) == 0.0
         assert np.linalg.norm(gradient(loss, theta)) <= 1e-10
@@ -92,6 +94,51 @@ class TestDatasetLoss:
         data = Dataset([[1.0]], [[2.0]])
         with pytest.raises(ConfigurationError):
             dataset_loss(model, data)
+
+
+class TestBatchedLoss:
+    """`dataset_loss` evaluates every sample in one forward call; its dual passes
+    are the per-sample loop's bit for bit."""
+
+    @pytest.mark.parametrize("family", (None, "affine", "shear"))
+    @pytest.mark.parametrize("order", (1, 2))
+    @pytest.mark.parametrize(
+        "model",
+        [linear_model(3, 2), mlp_tanh(2, 2, 2), mlp_tanh(1, 2, 1, bias=False)],
+        ids=["linear-3-2", "mlp-2-2-2", "mlp-1-2-1-no-bias"],
+    )
+    def test_dual_pass_is_the_sample_loop(self, model, order, family):
+        rng = np.random.default_rng([model.param_dim, order])
+        inputs = rng.uniform(-1.5, 1.5, (20, model.in_dim))
+        inputs[0], inputs[1] = 0.0, -0.0
+        data = Dataset(inputs, rng.uniform(-1.0, 1.0, (20, model.out_dim)))
+        point = rng.uniform(-1.5, 1.5, model.param_dim)
+        batch, loop = dataset_loss(model, data), loop_loss(model, data)
+        if family is not None:
+            g = catalog(family, model.param_dim, seed=6)
+            point = g.forward(point)
+            batch, loop = pullback_loss(g, batch), pullback_loss(g, loop)
+        got = derivative_pass(batch.fn, point, order)
+        want = derivative_pass(loop.fn, point, order)
+        for part in range(order + 1):
+            assert got[part].shape == want[part].shape
+            assert got[part].tobytes() == want[part].tobytes()
+
+    @pytest.mark.parametrize("kind", ("linear", "mlp-tanh"))
+    def test_one_forward_call_per_evaluation(self, kind):
+        model, data = default_recipe(4, seed=3, kind=kind)
+        shapes = []
+
+        def forward(x, theta):
+            shapes.append(np.shape(x))
+            return model.forward(x, theta)
+
+        loss = dataset_loss(dataclasses.replace(model, forward=forward), data)
+        theta = np.random.default_rng(5).uniform(-1.5, 1.5, 4)
+        for evaluate in (loss.value, partial(gradient, loss), partial(gradient_and_hessian, loss)):
+            shapes.clear()
+            evaluate(theta)
+            assert shapes == [data.inputs.shape]
 
 
 class TestBatchedForward:
