@@ -11,8 +11,8 @@ slope that the fit leaves undefined (NaN) is written as `null`.
 wherever the library has one), the experiments that read it, and the check
 `validate` runs on it.  Past those checks `validate` runs the library's own
 refusal rules (the dimension cap, `models.model_from_recipe`, a dataset file
-read at the model's sizes, step counts, one-parameter families, tolerance
-ordering), so a refused config reads the message the library would raise.
+read at the model's sizes, the Fisher weight, step counts, one-parameter
+families, tolerance ordering), so a refused config reads the library's message.
 
 Every experiment builds its flows through one problem path, `_problem`.
 """
@@ -30,14 +30,15 @@ from typing import Callable
 
 import numpy as np
 
-from .diffcalc import check_dim
+from .diffcalc import _is_real, check_dim
 from .errors import ConfigurationError, EquiflowError
-from .flows import XI_MIN
+from .flows import XI_MIN, fisher_weight
 from .geometry import FAMILIES, catalog, check_count, check_family_dim, check_positive
 from .geometry import state_order1, state_order2
 from .harness import (
     ALGORITHMS,
     EQUIVARIANCE_TOLERANCE,
+    FLOW_RECIPES,
     STATES_PER_TRIAL,
     TABLE_DIMS,
     TRIALS_PER_FAMILY,
@@ -69,8 +70,7 @@ EXPERIMENTS = ("classify", "table", "drift", "trajectory")
 
 def _is_number(value) -> bool:
     """A JSON number within the float range: not NaN, an infinity, 10**400 or true."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
+    return _is_real(value) and abs(value) <= sys.float_info.max
 
 
 def _passes(check: Callable, *args, **kwargs) -> Callable:
@@ -261,6 +261,10 @@ def validate(config: dict) -> list[Diagnostic]:
             fatal(f"dataset path must be a string, got {path!r}")
         elif model is not None:
             refused(load_dataset, path, model.in_dim, model.out_dim)
+    names = config["algorithms"] if ok["algorithms"] else []
+    if ok["noise_variance"] and any(FLOW_RECIPES[name].metric == "fisher" for name in names):
+        # the Fisher rows' weight; the default recipe's model has one output
+        refused(fisher_weight, 1 if model is None else model.out_dim, config["noise_variance"])
 
     experiment = config.get("experiment")
     theta0 = config.get("theta0") if ok["theta0"] else None

@@ -4,7 +4,8 @@ Four dynamics: gradient, Nesterov, Adam and Newton flow.  Each constructor
 returns a `FlowField` mapping an `OptimizerState` to a `StateVelocity`, and
 records in `FlowField.inverts` the matrix the flow inverts.  A metric is a
 field theta -> P(theta), the symmetric (n, n) array of a covariant form such
-as the Fisher or GGN, re-evaluated at every state.  `harness.FLOW_RECIPES`
+as the Fisher or GGN, re-evaluated at every state; its weight is a checked
+`GGNWeight`, the Fisher's from `fisher_weight`.  `harness.FLOW_RECIPES`
 names each algorithm's dynamics, metric and connection.  Time-dependent
 flows regularize the 1/xi damping below `XI_MIN`.
 """
@@ -112,8 +113,8 @@ def _newton_flow(loss: ScalarField, connection: Optional[Connection], share) -> 
 class GGNWeight:
     """The output-space weight M of a GGN form, checked once, when it is made:
     a square, finite, symmetric positive semidefinite matrix, kept read-only.
-    A flow builder makes its weight once; `ggn_matrix` wraps a plain array
-    on each call."""
+    `ggn_matrix` takes only this value, so a flow builder checks its weight
+    once however many forms it evaluates."""
 
     matrix: np.ndarray
 
@@ -129,25 +130,33 @@ class GGNWeight:
         object.__setattr__(self, "matrix", matrix)
 
 
+def fisher_weight(out_dim: int, noise_variance: float) -> GGNWeight:
+    """The Fisher weight I / noise_variance of a Gaussian head with `out_dim` outputs."""
+    check_positive(noise_variance, "noise variance")
+    variance = float(noise_variance)
+    if variance == 0.0 or not np.isfinite(1.0 / variance):
+        message = f"noise variance must have a finite reciprocal, got {noise_variance!r}"
+        raise ConfigurationError(message)
+    return GGNWeight(np.eye(out_dim) / noise_variance)
+
+
 def ggn_matrix(
-    model: Model, data: Dataset, weight, theta, chart: Optional[VectorMap] = None
+    model: Model, data: Dataset, weight: GGNWeight, theta, chart: Optional[VectorMap] = None
 ) -> np.ndarray:
     """Generalized Gauss-Newton form (1/|S|) sum_k J_k^T M J_k over the stacked
     `network_jacobian`, symmetrized; with a `chart` theta_bar -> theta, the barred
     chart's form.  The per-sample products are one stacked matmul, reduced from
     zero in sample order, so the sum equals a loop over the samples bit for bit.
 
-    `weight` is a `GGNWeight`, already checked, or an array, checked here as a
-    `GGNWeight` once its shape is found to match the model's outputs."""
-    checked = isinstance(weight, GGNWeight)
-    matrix = weight.matrix if checked else np.asarray(weight, dtype=float)
-    p = model.out_dim
+    `weight` is a `GGNWeight`, already checked; its shape must match the
+    model's outputs.  A plain array is refused."""
+    if not isinstance(weight, GGNWeight):
+        raise ConfigurationError(f"GGN weight must be a GGNWeight, got {type(weight).__name__}")
+    matrix, p = weight.matrix, model.out_dim
     if matrix.shape != (p, p):
         raise ConfigurationError(
             f"GGN weight shape {matrix.shape} does not match output dim {p}"
         )
-    if not checked:
-        matrix = GGNWeight(matrix).matrix
     check_dataset_dims(model, data.inputs.shape[1], data.targets.shape[1])
     theta = np.asarray(theta, dtype=float)
     jacs = network_jacobian(model, data, theta, chart)
@@ -160,9 +169,8 @@ def fisher_matrix(
     model: Model, data: Dataset, noise_variance: float, theta, chart: Optional[VectorMap] = None
 ) -> np.ndarray:
     """Fisher information of an isotropic Gaussian with the model's outputs as means:
-    the GGN form with weight I / noise_variance; `chart` as in `ggn_matrix`."""
-    check_positive(noise_variance, "noise variance")
-    return ggn_matrix(model, data, np.eye(model.out_dim) / noise_variance, theta, chart)
+    the GGN form with `fisher_weight`'s weight I / noise_variance; `chart` as in `ggn_matrix`."""
+    return ggn_matrix(model, data, fisher_weight(model.out_dim, noise_variance), theta, chart)
 
 
 def _apply_inverse(matrix, vec, metadata):

@@ -20,7 +20,6 @@ diffeomorphism's `inverse_map` as its chart.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -28,11 +27,15 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import diffcalc
-from .diffcalc import ScalarField, VectorMap, _is_integer
+from .diffcalc import ScalarField, VectorMap, _is_integer, _is_real
 from .errors import ConfigurationError, EvaluationDomainError, SingularMatrixError
 
 # Matrices whose inversion backs a transform are rejected beyond this.
 MAX_CONDITION = 1e12
+
+# Condition cap of a sampled affine matrix; entrywise distance to a signed permutation.
+AFFINE_MAX_CONDITION = 50.0
+PERMUTATION_TOLERANCE = 1e-3
 
 _SHEAR_FUNCS = {"sin": np.sin, "tanh": np.tanh}
 
@@ -265,34 +268,32 @@ def random_signed_permutation(dim: int, rng: np.random.Generator) -> np.ndarray:
     return mat
 
 
-def random_invertible(
-    dim: int, rng: np.random.Generator, max_cond: float = 50.0
-) -> np.ndarray:
-    """Generic invertible matrix with condition number capped at `max_cond`,
-    kept away from the orthogonal group."""
+def random_invertible(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Generic invertible matrix with condition number capped at
+    `AFFINE_MAX_CONDITION`, kept away from the orthogonal group."""
     for _ in range(64):
         mat = rng.standard_normal((dim, dim))
         u, s, vt = np.linalg.svd(mat)
-        s = np.clip(s, s.max() / max_cond, None)
+        s = np.clip(s, s.max() / AFFINE_MAX_CONDITION, None)
         mat = (u * s) @ vt
         if np.max(np.abs(mat @ mat.T - np.eye(dim))) > 1e-2:
             return mat
     raise ConfigurationError("failed to sample a non-orthogonal invertible matrix")
 
 
-def is_near_signed_permutation(matrix: np.ndarray, tol: float = 1e-3) -> bool:
-    """Whether `matrix` lies within `tol`, entrywise, of a signed permutation matrix."""
+def is_near_signed_permutation(matrix: np.ndarray) -> bool:
+    """Whether `matrix` is entrywise within `PERMUTATION_TOLERANCE` of a signed permutation."""
     snapped = np.zeros_like(matrix)
     snapped[matrix > 0.5] = 1.0
     snapped[matrix < -0.5] = -1.0
     ones = np.abs(snapped)
     if np.any(ones.sum(axis=0) != 1.0) or np.any(ones.sum(axis=1) != 1.0):
         return False
-    return bool(np.max(np.abs(matrix - snapped)) < tol)
+    return bool(np.max(np.abs(matrix - snapped)) < PERMUTATION_TOLERANCE)
 
 
 def _generic_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A random rotation that stays 1e-3 away from every signed permutation."""
+    """A random rotation that stays `PERMUTATION_TOLERANCE` away from every signed permutation."""
     for _ in range(64):
         q = random_orthogonal(dim, rng)
         if not is_near_signed_permutation(q):
@@ -358,8 +359,7 @@ def check_count(value, what: str, least: int = 0) -> None:
 
 def check_positive(value, what: str) -> None:
     """Refuse a `what` that is not a number in (0, largest float]: NaN, inf, 10**400, True."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not real or not 0 < value <= sys.float_info.max:
+    if not _is_real(value) or not 0 < value <= sys.float_info.max:
         raise ConfigurationError(f"{what} must be positive and finite, got {value!r}")
 
 

@@ -35,6 +35,7 @@ from .flows import (
     GGNWeight,
     _newton_flow,
     adam_stationary_flow,
+    fisher_weight,
     ggn_matrix,
     gradient_flow,
     nesterov_flow,
@@ -46,7 +47,6 @@ from .geometry import (
     OptimizerState,
     check_count,
     check_family_dim,
-    check_positive,
     group_contains,
     pullback_connection,
     pullback_loss,
@@ -125,10 +125,10 @@ class FlowBuilder:
     Building with `reparam=None` yields the base-chart flow; building with a
     diffeomorphism yields the flow computed intrinsically in the barred
     chart.  A Fisher row's form is the GGN form with weight
-    I / `noise_variance` (`fisher_matrix`'s), a GGN row's with weight I; the
-    builder makes that `GGNWeight` once, when it is made, so the weight is
-    checked once however many forms its flows evaluate.  Building is
-    deterministic, so repeated builds are identical.
+    `fisher_weight(out_dim, noise_variance)`, a GGN row's with weight I; the
+    builder makes that `GGNWeight` once, when it is made, so the weight and
+    the noise variance are checked once however many forms its flows
+    evaluate.  Building is deterministic, so repeated builds are identical.
 
     The builder keeps the last matrix its flow inverts, computed in the
     base chart and in the most recent barred chart (matched by identity),
@@ -158,15 +158,12 @@ class FlowBuilder:
             raise ConfigurationError(
                 f"{self.algorithm} needs a model and a dataset for its preconditioner"
             )
-        if metric == "fisher":
-            check_positive(self.noise_variance, "noise variance")
+        if metric is not None:
+            p, variance = self.model.out_dim, self.noise_variance
+            weight = fisher_weight(p, variance) if metric == "fisher" else GGNWeight(np.eye(p))
+            object.__setattr__(self, "_weight", weight)
         if self.model is not None and self.model.param_dim != self.loss.dim:
             raise ConfigurationError("model parameter dimension does not match loss")
-        if metric is not None:
-            weight = np.eye(self.model.out_dim)
-            if metric == "fisher":
-                weight = weight / self.noise_variance
-            object.__setattr__(self, "_weight", GGNWeight(weight))
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,7 @@ import equiflow.cli as cli
 from equiflow import (
     FAMILIES,
     FlowBuilder,
+    GGNWeight,
     affine_diffeomorphism,
     classify_equivariance,
     dataset_loss,
@@ -135,7 +136,7 @@ def test_criterion_4_fisher_ggn_identity():
         )
         theta = rng.uniform(-1.0, 1.0, model.param_dim)
         fisher = fisher_matrix(model, data, sigma2, theta)
-        ggn = ggn_matrix(model, data, np.eye(model.out_dim) / sigma2, theta)
+        ggn = ggn_matrix(model, data, GGNWeight(np.eye(model.out_dim) / sigma2), theta)
         identical += int(np.array_equal(fisher, ggn))
     report(4, identical == 5, f"{identical}/5 seeded pairs bit-identical")
 

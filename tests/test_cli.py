@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,10 @@ class TestValidate:
             },
             lambda: load_dataset("data.csv", 2, 1),
         ),
+        "fisher-weight-overflow": (
+            {"experiment": "classify", "dims": [2], "algorithms": ["ngd"], "noise_variance": 1e-320},
+            lambda: replace(default_flow_builder("ngd", 2), noise_variance=1e-320),
+        ),
         "tolerance-at-threshold": (
             {"tolerance": 1e-3, "violation_threshold": 1e-3},
             lambda: classify_equivariance(
@@ -416,11 +421,23 @@ class TestValidate:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "data.csv").write_text("0.5,1.0\n-0.5,0.2\n")
         config, library_call = self.LIBRARY_REFUSALS[case]
-        path = write_config(tmp_path, algorithms=["gd"], **config)
+        path = write_config(tmp_path, **{"algorithms": ["gd"], **config})
         fatal = [d.message for d in cli.validate(cli.load_config(path)) if d.severity == "fatal"]
         with pytest.raises(ConfigurationError) as refusal:
             library_call()
         assert fatal == [str(refusal.value)]
+
+    def test_fisher_weight_overflow_stops_the_run(self, tmp_path, capsys):
+        # validate used to pass it; run then warned of an overflow and failed
+        out = tmp_path / "out"
+        config = self.LIBRARY_REFUSALS["fisher-weight-overflow"][0]
+        path = write_config(tmp_path, out_dir=str(out), **config)
+        fatal = ["fatal: noise variance must have a finite reciprocal, got 1e-320"]
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == fatal
+        assert cli.main(["run", str(path)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == fatal
 
     def test_step_sizes_that_miss_the_horizon_warn(self, tmp_path, capsys):
         # 0.03 and 0.003 take 33 and 333 steps: flow times 0.99 and 0.999

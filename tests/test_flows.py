@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ from equiflow import (
     state_order1,
     state_order2,
 )
+from equiflow.flows import fisher_weight
 from conftest import (
     canonical_shear,
     counting,
@@ -171,24 +175,24 @@ class TestFisherAndGgn:
             )
             theta = rng.uniform(-1, 1, model.param_dim)
             fisher = fisher_matrix(model, data, sigma2, theta)
-            ggn = ggn_matrix(model, data, np.eye(model.out_dim) / sigma2, theta)
+            ggn = ggn_matrix(model, data, GGNWeight(np.eye(model.out_dim) / sigma2), theta)
             assert np.array_equal(fisher, ggn)
 
     def test_ggn_outer_product(self):
         model = linear_model(2, 1)
         data = Dataset([[1.0, 1.0]], [[0.0]])
-        form = ggn_matrix(model, data, np.eye(1), [0.0, 0.0])
+        form = ggn_matrix(model, data, GGNWeight(np.eye(1)), [0.0, 0.0])
         assert np.allclose(form, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_zero_weight_gives_zero(self):
         model = linear_model(2, 1)
         data = Dataset([[1.0, 1.0]], [[0.0]])
-        assert np.allclose(ggn_matrix(model, data, np.zeros((1, 1)), [0.0, 0.0]), 0.0)
+        assert np.allclose(ggn_matrix(model, data, GGNWeight(np.zeros((1, 1))), [0.0, 0.0]), 0.0)
 
     def test_two_samples_average(self):
         model = linear_model(2, 1)
         data = Dataset([[1.0, 0.0], [0.0, 2.0]], [[0.0], [0.0]])
-        form = ggn_matrix(model, data, np.eye(1), [0.0, 0.0])
+        form = ggn_matrix(model, data, GGNWeight(np.eye(1)), [0.0, 0.0])
         want = (np.outer([1, 0], [1, 0]) + np.outer([0, 2], [0, 2])) / 2
         assert np.allclose(form, want)
 
@@ -196,7 +200,7 @@ class TestFisherAndGgn:
         model = linear_model(2, 1)
         data = Dataset([[1.0, 0.0]], [[0.0]])
         with pytest.raises(ConfigurationError):
-            ggn_matrix(model, data, np.eye(2), [0.0, 0.0])
+            ggn_matrix(model, data, GGNWeight(np.eye(2)), [0.0, 0.0])
 
     def test_dataset_dims_mismatch_reads_as_the_loss_refusal(self):
         model = linear_model(2, 1)
@@ -204,14 +208,14 @@ class TestFisherAndGgn:
         with pytest.raises(ConfigurationError) as loss_refusal:
             dataset_loss(model, data)
         with pytest.raises(ConfigurationError) as ggn_refusal:
-            ggn_matrix(model, data, np.eye(1), [0.0, 0.0])
+            ggn_matrix(model, data, GGNWeight(np.eye(1)), [0.0, 0.0])
         assert str(ggn_refusal.value) == str(loss_refusal.value)
         assert str(ggn_refusal.value) == "dataset dims 1->1 do not match model dims 2->1"
 
 
 class TestGgnWeight:
-    """A `GGNWeight` is checked once, when it is made; `ggn_matrix` and
-    `fisher_matrix` wrap a plain array on each call."""
+    """A `GGNWeight` is checked once, when it is made; `ggn_matrix` takes
+    nothing else, and `fisher_weight` is the one maker of the Fisher weight."""
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_non_finite_weight_refused(self, bad):
@@ -220,7 +224,7 @@ class TestGgnWeight:
         with pytest.raises(ConfigurationError, match="^GGN weight must be finite"):
             GGNWeight([[bad]])
         with pytest.raises(ConfigurationError, match="^GGN weight must be finite"):
-            ggn_matrix(model, data, [[bad]], [0.0, 0.0])
+            ggn_matrix(model, data, GGNWeight([[bad]]), [0.0, 0.0])
 
     @pytest.mark.parametrize(
         "weight, message",
@@ -254,7 +258,7 @@ class TestGgnWeight:
             point, chart = g.forward(point), g.inverse_map
         array = np.eye(1) / 0.5
         got = ggn_matrix(model, data, GGNWeight(array), point, chart)
-        assert got.tobytes() == ggn_matrix(model, data, array, point, chart).tobytes()
+        assert got.tobytes() == loop_ggn(model, data, array, point, chart).tobytes()
         assert got.tobytes() == fisher_matrix(model, data, 0.5, point, chart).tobytes()
 
     def test_checked_weight_must_match_the_outputs(self):
@@ -262,6 +266,41 @@ class TestGgnWeight:
         data = Dataset([[1.0, 0.0]], [[0.0]])
         with pytest.raises(ConfigurationError, match=r"^GGN weight shape \(2, 2\) does not match"):
             ggn_matrix(model, data, GGNWeight(np.eye(2)), [0.0, 0.0])
+
+    @pytest.mark.parametrize("weight", (np.eye(1), [[1.0]]), ids=("ndarray", "list"))
+    def test_plain_array_refused(self, weight):
+        model = linear_model(2, 1)
+        data = Dataset([[1.0, 0.0]], [[0.0]])
+        with pytest.raises(ConfigurationError) as refusal:
+            ggn_matrix(model, data, weight, [0.0, 0.0])
+        assert str(refusal.value) == f"GGN weight must be a GGNWeight, got {type(weight).__name__}"
+
+    @pytest.mark.parametrize("out_dim, variance", [(1, 0.5), (3, 0.3), (2, 7)])
+    def test_fisher_weight_is_the_scaled_identity(self, out_dim, variance):
+        weight = fisher_weight(out_dim, variance)
+        assert weight.matrix.tobytes() == (np.eye(out_dim) / variance).tobytes()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0.0, "must be positive and finite, got 0.0"),
+            (np.nan, "must be positive and finite, got nan"),
+            (np.inf, "must be positive and finite, got inf"),
+            ("x", "must be positive and finite, got 'x'"),
+            (10**400, "must be positive and finite, got 1000"),
+            (1e-320, "must have a finite reciprocal, got 1e-320"),
+            (np.float64(1e-320), "must have a finite reciprocal, got np.float64(1e-320)"),
+            (Fraction(1, 10**400), "must have a finite reciprocal, got Fraction(1, 1000"),
+        ],
+        ids=["zero", "nan", "inf", "x", "ten-to-the-400", "1e-320", "float64-1e-320", "fraction"],
+    )
+    def test_fisher_weight_refuses_the_noise_variance(self, value, message):
+        # I / 1e-320 overflows, and 1e-400 reads as the float 0.0: each is refused
+        # by name before anything divides, so no warning and no ZeroDivisionError
+        with warnings.catch_warnings(), pytest.raises(ConfigurationError) as refusal:
+            warnings.simplefilter("error")
+            fisher_weight(1, value)
+        assert str(refusal.value).startswith(f"noise variance {message}")
 
 
 def loop_ggn(model, data, weight, theta, chart=None):
@@ -299,7 +338,7 @@ class TestGgnContraction:
         if family is not None:
             g = catalog(family, model.param_dim, seed=4)
             point, chart = g.forward(point), g.inverse_map
-        got = ggn_matrix(model, data, weight, point, chart)
+        got = ggn_matrix(model, data, GGNWeight(weight), point, chart)
         want = loop_ggn(model, data, weight, point, chart)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -314,7 +353,7 @@ class TestGgnChart:
         g = sample_diffeomorphism(family, 4, rng)
         theta_bar = g.forward(rng.uniform(-1.5, 1.5, 4))
         weight = np.diag(rng.uniform(0.5, 2.0, model.out_dim))
-        got = ggn_matrix(model, data, weight, theta_bar, chart=g.inverse_map)
+        got = ggn_matrix(model, data, GGNWeight(weight), theta_bar, chart=g.inverse_map)
         assert np.array_equal(got, per_sample_ggn(model, data, weight, g, theta_bar))
 
     @pytest.mark.parametrize("size", (1, 4, 8))
@@ -326,7 +365,7 @@ class TestGgnChart:
         calls = []
         chart = VectorMap(4, 4, lambda tbar: calls.append(1) or g.inverse_map.fn(tbar))
         theta_bar = g.forward([0.3, -0.2, 0.8, 0.1])
-        form = ggn_matrix(model, data, np.eye(1), theta_bar, chart=chart)
+        form = ggn_matrix(model, data, GGNWeight(np.eye(1)), theta_bar, chart=chart)
         assert len(calls) == 1
         assert np.array_equal(form, per_sample_ggn(model, data, np.eye(1), g, theta_bar))
 
@@ -335,13 +374,15 @@ class TestGgnChart:
         g = canonical_shear(0.5, dim=4)
         theta_bar = g.forward([0.3, -0.2, 0.8, 0.1])
         fisher = fisher_matrix(model, data, 0.5, theta_bar, chart=g.inverse_map)
-        ggn = ggn_matrix(model, data, np.eye(1) / 0.5, theta_bar, chart=g.inverse_map)
+        ggn = ggn_matrix(model, data, GGNWeight(np.eye(1) / 0.5), theta_bar, chart=g.inverse_map)
         assert np.array_equal(fisher, ggn)
 
     def test_chart_dimension_mismatch(self):
         model, data = default_recipe(4, seed=0)
         with pytest.raises(ConfigurationError):
-            ggn_matrix(model, data, np.eye(1), np.zeros(4), chart=canonical_shear(0.5).inverse_map)
+            ggn_matrix(
+                model, data, GGNWeight(np.eye(1)), np.zeros(4), chart=canonical_shear(0.5).inverse_map
+            )
 
 
 class TestFormContract:
@@ -361,7 +402,7 @@ class TestFormContract:
                 point, chart, chart_loss = g.forward(point), g.inverse_map, pullback_loss(g, loss)
             yield (
                 chart_loss,
-                ggn_matrix(model, data, np.eye(1), point, chart),
+                ggn_matrix(model, data, GGNWeight(np.eye(1)), point, chart),
                 fisher_matrix(model, data, 0.5, point, chart),
             )
 

@@ -6,6 +6,7 @@ from equiflow import (
     ConfigurationError,
     Diffeomorphism,
     EvaluationDomainError,
+    GGNWeight,
     StateVelocity,
     affine_diffeomorphism,
     catalog,
@@ -360,7 +361,7 @@ class TestPullbackConnection:
                     nv = builder.noise_variance
                     form = lambda theta: fisher_matrix(model, data, nv, theta, chart)
                 else:
-                    form = lambda theta: ggn_matrix(model, data, np.eye(1), theta, chart)
+                    form = lambda theta: ggn_matrix(model, data, GGNWeight(np.eye(1)), theta, chart)
                 explicit = nesterov_flow(loss, form, r=builder.r, connection=flat)
             barred = builder.build(g)
             for _ in range(3):

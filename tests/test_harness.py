@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from equiflow import (
     ConfigurationError,
     Dataset,
     FlowBuilder,
+    GGNWeight,
     ScalarField,
     SingularMatrixError,
     ToleranceGapError,
@@ -125,6 +128,19 @@ class TestFlowBuilderValidation:
                 algorithm, dataset_loss(model, data), model=model, data=data, noise_variance=0.0
             )
 
+    @pytest.mark.parametrize("value", [1e-320, np.float64(1e-320)], ids=["float", "float64"])
+    @pytest.mark.parametrize("algorithm", ["ngd", "nngd"])
+    def test_fisher_refuses_a_variance_with_no_finite_reciprocal(self, algorithm, value):
+        # I / noise_variance used to overflow with a RuntimeWarning and be refused
+        # as "GGN weight must be finite, got [[inf]]"
+        model, data = default_recipe(2, seed=0)
+        with warnings.catch_warnings(), pytest.raises(ConfigurationError) as refusal:
+            warnings.simplefilter("error")
+            FlowBuilder(
+                algorithm, dataset_loss(model, data), model=model, data=data, noise_variance=value
+            )
+        assert str(refusal.value) == f"noise variance must have a finite reciprocal, got {value!r}"
+
     @pytest.mark.parametrize(
         "value", [np.nan, np.inf, "x", pytest.param(10**400, id="ten-to-the-400")]
     )
@@ -191,7 +207,7 @@ class TestInvertedMatrix:
                 if algorithm in ("ngd", "nngd"):
                     want = fisher_matrix(model, data, builder.noise_variance, point, chart)
                 else:
-                    want = ggn_matrix(model, data, np.eye(model.out_dim), point, chart)
+                    want = ggn_matrix(model, data, GGNWeight(np.eye(model.out_dim)), point, chart)
             assert np.array_equal(matrix_fn(point), want), "base" if g is None else g.family
 
 
@@ -216,7 +232,7 @@ class TestSharedForm:
         chart = None if g is None else g.inverse_map
         if builder.algorithm in ("ngd", "nngd"):
             return fisher_matrix(builder.model, builder.data, builder.noise_variance, theta, chart)
-        return ggn_matrix(builder.model, builder.data, np.eye(1), theta, chart)
+        return ggn_matrix(builder.model, builder.data, GGNWeight(np.eye(1)), theta, chart)
 
     @pytest.mark.parametrize("algorithm", ["ngd", "agn"])
     def test_one_evaluation_per_state_and_chart(self, algorithm, monkeypatch):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from equiflow import (
     FAMILIES,
     Dataset,
+    GGNWeight,
     OptimizerState,
     StateVelocity,
     compose,
@@ -124,7 +125,7 @@ def test_ggn_through_a_chart_is_a_covariant_tensor(family, dim, kind, data):
     rows = data.draw(st.integers(1, 4))
     samples = data.draw(st.lists(vectors(model.in_dim), min_size=rows, max_size=rows))
     dataset = Dataset(np.array(samples), np.zeros((rows, 1)))
-    weight = np.eye(1)
+    weight = GGNWeight(np.eye(1))
     theta = state.theta
     barred = ggn_matrix(model, dataset, weight, g.forward(theta), chart=g.inverse_map)
     base = ggn_matrix(model, dataset, weight, theta)
