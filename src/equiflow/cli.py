@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffcalc import _is_real, check_dim
+from .diffcalc import check_dim, is_real
 from .errors import ConfigurationError, EquiflowError
 from .flows import XI_MIN, fisher_weight
 from .geometry import FAMILIES, catalog, check_count, check_family_dim, check_positive
@@ -70,7 +70,7 @@ EXPERIMENTS = ("classify", "table", "drift", "trajectory")
 
 def _is_number(value) -> bool:
     """A JSON number within the float range: not NaN, an infinity, 10**400 or true."""
-    return _is_real(value) and abs(value) <= sys.float_info.max
+    return is_real(value) and abs(value) <= sys.float_info.max
 
 
 def _passes(check: Callable, *args, **kwargs) -> Callable:

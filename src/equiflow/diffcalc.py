@@ -205,19 +205,19 @@ class Dual2:
         return f"Dual2({self.v!r})"
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     """A Python or numpy integer; a boolean is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_dim(value, what: str) -> None:
     """Refuse a `what` that is not an integer in [1, DIM_CAP]."""
-    if not _is_integer(value) or not 1 <= value <= DIM_CAP:
+    if not is_integer(value) or not 1 <= value <= DIM_CAP:
         cap = f"an integer within the dimension cap [1, {DIM_CAP}]"
         raise ConfigurationError(f"{what} must be {cap}, got {value!r}")
 
 
-def _is_real(entry) -> bool:
+def is_real(entry) -> bool:
     """A real number; a boolean or a numeric string is not one."""
     return isinstance(entry, numbers.Real) and not isinstance(entry, bool)
 
@@ -228,7 +228,7 @@ def _point(theta, dim: int, name: str) -> np.ndarray:
     check; anything else is checked entry by entry before the float conversion."""
     try:
         if not (isinstance(theta, np.ndarray) and theta.dtype.kind in "fiu"):
-            if not all(map(_is_real, np.asarray(theta, dtype=object).flat)):
+            if not all(map(is_real, np.asarray(theta, dtype=object).flat)):
                 raise TypeError("an entry is not a real number")
         point = np.asarray(theta, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

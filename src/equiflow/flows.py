@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diffcalc
 from .diffcalc import ScalarField, VectorMap
-from .errors import ConfigurationError, SingularMatrixError
+from .errors import ConfigurationError, EvaluationDomainError, SingularMatrixError
 from .geometry import Connection, OptimizerState, StateVelocity, check_positive
 from .models import Dataset, Model, check_dataset_dims, network_jacobian
 
@@ -76,16 +76,13 @@ def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> Fl
     return FlowField("adam", order=1, velocity=velocity)
 
 
-def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> FlowField:
+def newton_flow(
+    loss: ScalarField, connection: Optional[Connection] = None, share: Optional[Callable] = None
+) -> FlowField:
     """dtheta/dxi = -H^-1 grad L with H the Hessian, made covariant,
     H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given; None is the
-    flat connection (Gamma = 0), which leaves H as it is."""
-    return _newton_flow(loss, connection, lambda system: system)
-
-
-def _newton_flow(loss: ScalarField, connection: Optional[Connection], share) -> FlowField:
-    # `share` wraps theta -> (gradient, matrix); a FlowBuilder passes its
-    # per-chart memo, so the pre-check and the flow share one order-2 pass
+    flat connection (Gamma = 0), which leaves H as it is.  A FlowBuilder's
+    `share` wraps theta -> (gradient, H) in its per-chart memo."""
 
     def system(theta):
         # (gradient, the matrix Newton's flow inverts) from one order-2 pass
@@ -95,7 +92,8 @@ def _newton_flow(loss: ScalarField, connection: Optional[Connection], share) -> 
             hess = hess - np.einsum("kij,k->ij", gamma, grad)
         return grad, hess
 
-    system = share(system)
+    if share is not None:
+        system = share(system)
 
     def velocity(state):
         grad, hess = system(state.theta)
@@ -149,7 +147,8 @@ def ggn_matrix(
     zero in sample order, so the sum equals a loop over the samples bit for bit.
 
     `weight` is a `GGNWeight`, already checked; its shape must match the
-    model's outputs.  A plain array is refused."""
+    model's outputs.  A plain array is refused; a form that overflows, which
+    depends on the data and theta, raises `EvaluationDomainError`."""
     if not isinstance(weight, GGNWeight):
         raise ConfigurationError(f"GGN weight must be a GGNWeight, got {type(weight).__name__}")
     matrix, p = weight.matrix, model.out_dim
@@ -160,9 +159,13 @@ def ggn_matrix(
     check_dataset_dims(model, data.inputs.shape[1], data.targets.shape[1])
     theta = np.asarray(theta, dtype=float)
     jacs = network_jacobian(model, data, theta, chart)
-    total = np.add.reduce(np.swapaxes(jacs, 1, 2) @ (matrix @ jacs), axis=0, initial=0.0)
-    out = total / data.size
-    return 0.5 * (out + out.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(np.swapaxes(jacs, 1, 2) @ (matrix @ jacs), axis=0, initial=0.0)
+        out = total / data.size
+        form = 0.5 * (out + out.T)
+    if not np.isfinite(form).all():
+        raise EvaluationDomainError(f"GGN form of {model.kind} non-finite at {theta}")
+    return form
 
 
 def fisher_matrix(

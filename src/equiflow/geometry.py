@@ -10,11 +10,12 @@ A^-1 on the inverse map, so `diffcalc` reads their Jacobians and zero second
 derivatives off the matrix instead of running a dual pass.  An affine map
 carries the flat connection of R^N to itself, so its barred chart is flat and
 `pullback_connection` returns None.  Each family is one row of `FAMILY_ROWS`
-(its matrix draw, least dimension and smallest named group), and `GROUPS`
-states which group directly contains which.  Derivatives of a map come only
-from `diffcalc`.  `pullback_loss`'s `fn` is a `diffcalc.Pullback` through
-`inverse_map`.  Models are not pulled back here: `flows.ggn_matrix` takes a
-diffeomorphism's `inverse_map` as its chart.
+(its matrix draw, least dimension and smallest named group); `GROUPS` states
+which group directly contains which, and `meet` the largest group several
+contain.  Derivatives of a map come only from `diffcalc`.  `pullback_loss`'s
+`fn` is a `diffcalc.Pullback` through `inverse_map`.  Models are not pulled
+back here: `flows.ggn_matrix` takes a diffeomorphism's `inverse_map` as its
+chart.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import diffcalc
-from .diffcalc import ScalarField, VectorMap, _is_integer, _is_real
+from .diffcalc import ScalarField, VectorMap, is_integer, is_real
 from .errors import ConfigurationError, EvaluationDomainError, SingularMatrixError
 
 # Matrices whose inversion backs a transform are rejected beyond this.
@@ -336,12 +337,24 @@ def group_contains(group: str, sub: str) -> bool:
     return group == sub or any(group_contains(inner, sub) for inner in GROUPS[group])
 
 
+def meet(*groups: str) -> str:
+    """The largest group that every argument contains (with none, the largest of all),
+    read off GROUPS.  Refuses an unknown name, and a tie between common subgroups."""
+    if not set(groups) <= set(GROUPS):
+        raise ConfigurationError(f"unknown group in {groups}")
+    common = [sub for sub in GROUPS if all(group_contains(group, sub) for group in groups)]
+    largest = [sub for sub in common if all(group_contains(sub, other) for other in common)]
+    if len(largest) != 1:
+        raise ConfigurationError(f"groups {groups} have no single largest common subgroup")
+    return largest[0]
+
+
 def check_family_dim(family: str, dim: int) -> None:
     """Refuse an unknown family, a dim that is not an integer >= 1, and a family
     whose every member at `dim` parameters lies in a smaller family."""
     if family not in FAMILY_ROWS:
         raise ConfigurationError(f"unknown family {family!r}")
-    if not _is_integer(dim):
+    if not is_integer(dim):
         raise ConfigurationError(f"a {family} map needs an integer dim, got {dim!r}")
     if dim < 1:
         raise ConfigurationError(f"a {family} map needs dim >= 1; got dim {dim}")
@@ -352,14 +365,14 @@ def check_family_dim(family: str, dim: int) -> None:
 
 def check_count(value, what: str, least: int = 0) -> None:
     """Refuse a `what` that is not an integer >= `least`, which is 0 or 1."""
-    if not _is_integer(value) or value < least:
+    if not is_integer(value) or value < least:
         kind = "non-negative" if least == 0 else "positive"
         raise ConfigurationError(f"{what} must be a {kind} integer, got {value!r}")
 
 
 def check_positive(value, what: str) -> None:
     """Refuse a `what` that is not a number in (0, largest float]: NaN, inf, 10**400, True."""
-    if not _is_real(value) or not 0 < value <= sys.float_info.max:
+    if not is_real(value) or not 0 < value <= sys.float_info.max:
         raise ConfigurationError(f"{what} must be positive and finite, got {value!r}")
 
 

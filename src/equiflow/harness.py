@@ -1,15 +1,16 @@
 """Naturality verdicts: residuals, per-family classification, summary table.
 
-Each algorithm is one row of `FLOW_RECIPES`: its dynamics, metric, connection
-and reference group.  A cell's expected verdict is "equivariant" exactly when
-that group contains the family's group (`geometry.group_contains`).  A
+Each algorithm is one row of `FLOW_RECIPES`: its dynamics, metric and
+connection.  Its group, in `ALGORITHM_GROUPS`, is the `geometry.meet` of its
+parts' groups, read off `PART_GROUPS`, and a cell's expected verdict is
+"equivariant" exactly when that group contains the family's group.  A
 `FlowBuilder` builds a row's flow in the base chart or, given a
-reparameterization, intrinsically in the barred chart.  The naturality
-residual compares the pushed-forward flow value against the intrinsic barred
-flow value; classification runs seeded trials per reparameterization family
-and demands a crisp verdict.  Each sampled state first passes a conditioning
-pre-check on the matrix the flow inverts in both charts; the pre-check and the
-flow evaluation that follows share one evaluation of that matrix per state and
+reparameterization, intrinsically in the barred chart.  `naturality_residual`
+compares the pushed-forward base flow value against the barred flow value;
+classification runs seeded trials per reparameterization family and demands
+a crisp verdict.  Each sampled state first passes a conditioning pre-check on
+the matrix the flow inverts in both charts; the pre-check and the flow
+evaluation that follows share one evaluation of that matrix per state and
 chart, whether it is a Fisher, GGN, Hessian or covariant Hessian.
 
 All randomness flows from one integer seed >= 0 (`geometry.check_count`): every
@@ -33,12 +34,12 @@ from .flows import (
     NESTEROV_DAMPING,
     FlowField,
     GGNWeight,
-    _newton_flow,
     adam_stationary_flow,
     fisher_weight,
     ggn_matrix,
     gradient_flow,
     nesterov_flow,
+    newton_flow,
 )
 from .geometry import (
     FAMILIES,
@@ -48,6 +49,7 @@ from .geometry import (
     check_count,
     check_family_dim,
     group_contains,
+    meet,
     pullback_connection,
     pullback_loss,
     pushforward_state,
@@ -61,24 +63,38 @@ from .models import Dataset, Model, dataset_loss, linear_model, mlp_tanh
 
 class FlowRecipe(NamedTuple):
     dynamics: str  # "gradient", "nesterov", "adam" or "newton"
-    metric: Optional[str]  # None, "fisher" or "ggn"
-    transported: bool  # whether the barred flow reads pullback_connection (None if g is affine)
-    group: str  # reference equivariance group, a key of geometry.GROUPS
+    metric: str  # "euclidean", "fisher", "ggn", or Newton's "hessian"
+    connection: str  # "none", "flat" (Gamma = 0) or "transported" (pullback_connection)
 
 
 # One row per algorithm, in the order `trial_rng` indexes them.
 FLOW_RECIPES = {
-    "gd": FlowRecipe("gradient", None, False, "E(N)"),
-    "nesterov": FlowRecipe("nesterov", None, False, "E(N)"),
-    "adam": FlowRecipe("adam", None, False, "B_N x T(N)"),
-    "newton": FlowRecipe("newton", None, False, "Aff(N,R)"),
-    "newton-covariant": FlowRecipe("newton", None, True, "Diff(M)"),
-    "ngd": FlowRecipe("gradient", "fisher", False, "Diff(M)"),
-    "ggn": FlowRecipe("gradient", "ggn", False, "Diff(M)"),
-    "nngd": FlowRecipe("nesterov", "fisher", True, "Diff(M)"),
-    "agn": FlowRecipe("nesterov", "ggn", True, "Diff(M)"),
+    "gd": FlowRecipe("gradient", "euclidean", "none"),
+    "nesterov": FlowRecipe("nesterov", "euclidean", "flat"),
+    "adam": FlowRecipe("adam", "euclidean", "none"),
+    "newton": FlowRecipe("newton", "hessian", "flat"),
+    "newton-covariant": FlowRecipe("newton", "hessian", "transported"),
+    "ngd": FlowRecipe("gradient", "fisher", "none"),
+    "ggn": FlowRecipe("gradient", "ggn", "none"),
+    "nngd": FlowRecipe("nesterov", "fisher", "transported"),
+    "agn": FlowRecipe("nesterov", "ggn", "transported"),
 }
 ALGORITHMS = tuple(FLOW_RECIPES)
+
+# The only parts natural under less than Diff(M), with the reason.  Every other
+# part obeys its tensor law (Fisher, GGN, a transported connection, Newton's
+# Hessian read through the row's connection) or imposes nothing ("none").
+PART_GROUPS = {
+    "adam": "B_N x T(N)",  # a componentwise map commutes only with signed permutations and shifts
+    "euclidean": "E(N)",  # the identity metric is kept only by isometries of R^N
+    "flat": "Aff(N,R)",  # Gamma = 0 is carried to Gamma = 0 only by affine maps
+}
+
+# Each row's group: the largest group that every one of its parts is natural under.
+ALGORITHM_GROUPS = {
+    name: meet(*(PART_GROUPS[part] for part in recipe if part in PART_GROUPS))
+    for name, recipe in FLOW_RECIPES.items()
+}
 
 # Verdict classification thresholds: residual max <= tolerance is
 # equivariant, >= threshold is violated, anything between fails loudly.
@@ -114,7 +130,7 @@ def _check_known(kind: str, name: str, names) -> None:
 def expected_verdict(algorithm: str, family: str) -> str:
     _check_known("algorithm", algorithm, ALGORITHMS)
     _check_known("family", family, FAMILIES)
-    natural = group_contains(FLOW_RECIPES[algorithm].group, FAMILY_ROWS[family].group)
+    natural = group_contains(ALGORITHM_GROUPS[algorithm], FAMILY_ROWS[family].group)
     return "equivariant" if natural else "violated"
 
 
@@ -148,17 +164,17 @@ class FlowBuilder:
     epsilon: float = ADAM_EPSILON
     # (reparam is None) -> (reparam, theta bytes, value) of that chart's last value
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # the metric row's GGNWeight, None for a row without a metric
+    # a Fisher or GGN row's GGNWeight, None for a Euclidean or Hessian row
     _weight: Optional[GGNWeight] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_known("algorithm", self.algorithm, ALGORITHMS)
         metric = FLOW_RECIPES[self.algorithm].metric
-        if metric is not None and (self.model is None or self.data is None):
-            raise ConfigurationError(
-                f"{self.algorithm} needs a model and a dataset for its preconditioner"
-            )
-        if metric is not None:
+        if metric in ("fisher", "ggn"):
+            if self.model is None or self.data is None:
+                raise ConfigurationError(
+                    f"{self.algorithm} needs a model and a dataset for its preconditioner"
+                )
             p, variance = self.model.out_dim, self.noise_variance
             weight = fisher_weight(p, variance) if metric == "fisher" else GGNWeight(np.eye(p))
             object.__setattr__(self, "_weight", weight)
@@ -200,16 +216,17 @@ class FlowBuilder:
         return replace(self._flow(reparam), algorithm=self.algorithm)
 
     def _flow(self, reparam: Optional[Diffeomorphism]) -> FlowField:
-        dynamics, metric, transported, _ = FLOW_RECIPES[self.algorithm]
+        dynamics, _, connection_kind = FLOW_RECIPES[self.algorithm]
         loss = self.loss if reparam is None else pullback_loss(reparam, self.loss)
         # None is the flat connection (Gamma = 0): the base chart's, and a
         # barred chart's under an affine map.  Shears and composites compute theirs.
-        connection = None if reparam is None or not transported else pullback_connection(reparam)
-        precond = None if metric is None else self._precondition_fn(reparam)
+        transported = reparam is not None and connection_kind == "transported"
+        connection = pullback_connection(reparam) if transported else None
+        precond = None if self._weight is None else self._precondition_fn(reparam)
         if dynamics == "adam":
             return adam_stationary_flow(loss, epsilon=self.epsilon)
         if dynamics == "newton":
-            return _newton_flow(loss, connection, partial(self._shared, reparam))
+            return newton_flow(loss, connection, partial(self._shared, reparam))
         if dynamics == "gradient":
             return gradient_flow(loss, precond)
         return nesterov_flow(loss, precond, r=self.r, connection=connection)
@@ -237,12 +254,12 @@ class ResidualReport:
         return asdict(self)
 
 
-def _residual(
-    base_flow: FlowField,
-    barred_flow: FlowField,
-    g: Diffeomorphism,
-    state: OptimizerState,
+def naturality_residual(
+    base_flow: FlowField, barred_flow: FlowField, g: Diffeomorphism, state: OptimizerState
 ) -> float:
+    """Commutative-diagram defect at one state: the norm of the tangent
+    pushforward of the base flow value minus the barred flow's value at the
+    pushed-forward state.  A singular solve names the chart it came from."""
     try:
         value = base_flow(state)
     except SingularMatrixError as exc:
@@ -254,17 +271,6 @@ def _residual(
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"barred chart: {exc}", point=exc.point) from exc
     return float(np.linalg.norm(pushed.as_vector() - value_bar.as_vector()))
-
-
-def naturality_residual(
-    builder: FlowBuilder, g: Diffeomorphism, state: OptimizerState
-) -> float:
-    """Commutative-diagram defect at one state.
-
-    Norm of (tangent-pushforward of the base flow value) minus (the
-    intrinsically built barred flow at the pushed-forward state).
-    """
-    return _residual(builder.build(), builder.build(g), g, state)
 
 
 def _sample_state(
@@ -342,7 +348,7 @@ def classify_equivariance(
             barred_matrix_fn = builder.inverted_matrix_fn(g)
             for _ in range(states_per_trial):
                 state = _sample_state(rng, base_flow, g, base_matrix_fn, barred_matrix_fn)
-                residuals.append(_residual(base_flow, barred_flow, g, state))
+                residuals.append(naturality_residual(base_flow, barred_flow, g, state))
         peak = float(np.max(residuals))
         if peak <= tolerance:
             verdict = "equivariant"
@@ -384,8 +390,9 @@ def default_recipe(dim: int, seed: int = 0, kind: str = "linear") -> tuple[Model
     exact quadratic, so the Fisher, GGN, and Hessian stay well-conditioned
     across the whole state box and verdicts never rest on amplified solve
     roundoff.  The barred charts still carry fully state-dependent forms.
-    The tanh networks are the nonlinear half of the corpus, used by the
-    derivative-oracle checks and available to experiment configs.
+    The tanh networks are the nonlinear half of the corpus, which the
+    derivative-oracle checks read through `kind`.  No config can pick them: a
+    config's `mlp-tanh` model recipe gets `synthetic_dataset`'s data instead.
     """
     check_count(dim, "dim", least=1)
     if kind == "linear":
@@ -435,7 +442,14 @@ class TableReport:
     tolerance: float
     violation_threshold: float
     reports: tuple  # (dim, ResidualReport) pairs in deterministic order
-    mismatches: tuple  # (dim, algorithm, family, verdict, expected)
+
+    @property
+    def mismatches(self) -> tuple:
+        """(dim, algorithm, family, verdict, expected) of each report off `expected_verdict`."""
+        cells = ((d, r, expected_verdict(r.algorithm, r.family)) for d, r in self.reports)
+        return tuple(
+            (d, r.algorithm, r.family, r.verdict, e) for d, r, e in cells if r.verdict != e
+        )
 
     @property
     def matches_expected(self) -> bool:
@@ -458,7 +472,7 @@ class TableReport:
             "seed": self.seed,
             "tolerance": self.tolerance,
             "violation_threshold": self.violation_threshold,
-            "equivariance_groups": {a: FLOW_RECIPES[a].group for a in self.algorithms},
+            "equivariance_groups": {a: ALGORITHM_GROUPS[a] for a in self.algorithms},
             "expected": {
                 a: {f: expected_verdict(a, f) for f in self.families}
                 for a in self.algorithms
@@ -467,14 +481,8 @@ class TableReport:
                 {"dim": dim, **report.as_dict()} for dim, report in self.reports
             ],
             "mismatches": [
-                {
-                    "dim": dim,
-                    "algorithm": alg,
-                    "family": family,
-                    "verdict": verdict,
-                    "expected": expected,
-                }
-                for dim, alg, family, verdict, expected in self.mismatches
+                dict(zip(("dim", "algorithm", "family", "verdict", "expected"), mismatch))
+                for mismatch in self.mismatches
             ],
         }
 
@@ -498,7 +506,6 @@ def reproduce_table(
     if builder is None:
         builder = partial(default_flow_builder, seed=seed)
     reports = []
-    mismatches = []
     for dim in dims:
         for algorithm in algorithms:
             for report in classify_equivariance(
@@ -511,11 +518,6 @@ def reproduce_table(
                 seed=seed,
             ):
                 reports.append((dim, report))
-                expected = expected_verdict(algorithm, report.family)
-                if report.verdict != expected:
-                    mismatches.append(
-                        (dim, algorithm, report.family, report.verdict, expected)
-                    )
     return TableReport(
         dims=tuple(dims),
         algorithms=tuple(algorithms),
@@ -526,7 +528,6 @@ def reproduce_table(
         tolerance=tolerance,
         violation_threshold=violation_threshold,
         reports=tuple(reports),
-        mismatches=tuple(mismatches),
     )
 
 
@@ -574,11 +575,7 @@ def render_table_text(table: TableReport) -> str:
         header = ["algorithm"] + list(table.families) + ["group"]
         rows = [header]
         for alg in table.algorithms:
-            rows.append(
-                [alg]
-                + [verdicts[alg][f] for f in table.families]
-                + [FLOW_RECIPES[alg].group]
-            )
+            rows.append([alg, *[verdicts[alg][f] for f in table.families], ALGORITHM_GROUPS[alg]])
         blocks.append("\n".join([f"N = {dim}"] + _columns(rows)))
     if table.mismatches:
         mm = ["mismatches:"]

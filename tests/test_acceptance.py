@@ -100,20 +100,19 @@ def test_criterion_2_derivative_oracle():
 
 def test_criterion_3_hand_derived_residuals():
     gd_builder = FlowBuilder("gd", quadratic_loss(np.eye(1)))
-    gd_res = naturality_residual(
-        gd_builder, affine_diffeomorphism([[2.0]]), state_order1([1.0])
-    )
+    g = affine_diffeomorphism([[2.0]])
+    gd_res = naturality_residual(gd_builder.build(), gd_builder.build(g), g, state_order1([1.0]))
     gd_ok = abs(gd_res - 1.5) <= 1e-9
 
+    adam_builder = FlowBuilder("adam", quadratic_loss(np.eye(1)))
+    g = affine_diffeomorphism([[0.5]])
     adam1 = naturality_residual(
-        FlowBuilder("adam", quadratic_loss(np.eye(1))),
-        affine_diffeomorphism([[0.5]]),
-        state_order1([1.0]),
+        adam_builder.build(), adam_builder.build(g), g, state_order1([1.0])
     )
+    adam_builder = FlowBuilder("adam", quadratic_loss(np.eye(2)))
+    g = affine_diffeomorphism(0.5 * np.eye(2))
     adam2 = naturality_residual(
-        FlowBuilder("adam", quadratic_loss(np.eye(2))),
-        affine_diffeomorphism(0.5 * np.eye(2)),
-        state_order1([1.0, -1.0]),
+        adam_builder.build(), adam_builder.build(g), g, state_order1([1.0, -1.0])
     )
     adam_ok = abs(adam1 - 0.5) <= 1e-3 and abs(adam2 - 0.5 * np.sqrt(2)) <= 1e-3
     report(

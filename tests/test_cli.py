@@ -439,6 +439,36 @@ class TestValidate:
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == fatal
 
+    @pytest.mark.parametrize(
+        "config, status, error",
+        [
+            ({"experiment": "classify", "algorithms": ["ngd"]}, 2, "error: GGN form"),
+            (
+                {"experiment": "trajectory", "algorithms": ["nngd"], "steps": 5},
+                2,
+                "error: flow evaluation diverged: GGN form",
+            ),
+            ({"experiment": "drift", "algorithms": ["ngd"], "h_list": [0.1, 0.01]}, 0, None),
+        ],
+        ids=["classify", "trajectory", "drift"],
+    )
+    def test_overflowing_ggn_form_is_refused_by_name(self, tmp_path, capsys, config, status, error):
+        # I / 6e-309 is finite, so validate passes it; J^T (M J) overflows at
+        # states and data that no config rule sees, so the form refuses itself:
+        # it used to warn of an overflow, and drift and trajectory raised
+        # numpy's raw LinAlgError
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dims=[2], noise_variance=6e-309, out_dir=str(out), **config)
+        assert cli.main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", str(path)]) == status
+        if error is not None:
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(error) and "of linear non-finite at" in line
+        else:
+            (result,) = json.loads((out / "report.json").read_text())["results"]
+            assert result["diverged"] == [0.1, 0.01] and result["points"] == []
+
     def test_step_sizes_that_miss_the_horizon_warn(self, tmp_path, capsys):
         # 0.03 and 0.003 take 33 and 333 steps: flow times 0.99 and 0.999
         out = tmp_path / "out"
@@ -528,14 +558,16 @@ class TestRun:
         assert csv[0].startswith("dim,algorithm,family")
         assert len(csv) == 2
 
-        # force a mismatch to check the nonzero path
+        # flip the one report's verdict to check the nonzero path
         import dataclasses
 
         real = cli.reproduce_table
 
         def flipped(**kwargs):
-            mismatch = (2, "gd", "translation", "violated", "equivariant")
-            return dataclasses.replace(real(**kwargs), mismatches=(mismatch,))
+            table = real(**kwargs)
+            ((dim, report),) = table.reports
+            report = dataclasses.replace(report, verdict="violated")
+            return dataclasses.replace(table, reports=((dim, report),))
 
         monkeypatch.setattr(cli, "reproduce_table", flipped)
         assert cli.main(["run", str(path)]) == 1

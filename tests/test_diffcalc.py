@@ -1,3 +1,4 @@
+import ast
 import zlib
 from pathlib import Path
 
@@ -422,3 +423,11 @@ def test_only_diffcalc_seeds_or_reads_dual_numbers():
         if path.name != "diffcalc.py":
             text = path.read_text()
             assert "seed_duals" not in text and "Dual2" not in text, path.name
+
+
+def test_no_module_imports_another_modules_private_name():
+    for path in sorted(Path(equiflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from .{node.module}"

@@ -8,6 +8,7 @@ from equiflow import (
     FAMILIES,
     ConfigurationError,
     Dataset,
+    EvaluationDomainError,
     GGNWeight,
     ScalarField,
     SingularMatrixError,
@@ -301,6 +302,17 @@ class TestGgnWeight:
             warnings.simplefilter("error")
             fisher_weight(1, value)
         assert str(refusal.value).startswith(f"noise variance {message}")
+
+    def test_an_overflowing_form_is_refused_by_name(self):
+        # I / 6e-309 is finite, but J^T (M J) overflows where an input entry
+        # exceeds about 1: refused by name, with no RuntimeWarning
+        model, data = default_recipe(2, seed=0)
+        weight = fisher_weight(1, 6e-309)
+        with pytest.raises(EvaluationDomainError) as refusal:
+            ggn_matrix(model, data, weight, [0.5, -0.5])
+        assert str(refusal.value) == "GGN form of linear non-finite at [ 0.5 -0.5]"
+        small = Dataset(data.inputs * 1e-3, data.targets)
+        assert np.all(np.isfinite(ggn_matrix(model, small, weight, [0.5, -0.5])))
 
 
 def loop_ggn(model, data, weight, theta, chart=None):

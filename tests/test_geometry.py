@@ -33,7 +33,10 @@ from equiflow import (
 import equiflow.geometry
 from equiflow.diffcalc import derivative_pass
 from equiflow.geometry import (
+    GROUPS,
     check_positive,
+    group_contains,
+    meet,
     random_invertible,
     random_orthogonal,
     random_signed_permutation,
@@ -549,3 +552,38 @@ class TestCheckPositive:
     @pytest.mark.parametrize("value", [1, 0.5, np.float64(2.0), 5e-324, 2**64])
     def test_accepts(self, value):
         check_positive(value, "horizon")
+
+
+class TestMeet:
+    """`meet` gives the largest group that every argument contains, read off GROUPS."""
+
+    CHAIN = ("T(N)", "B_N x T(N)", "E(N)", "Aff(N,R)", "Diff(M)")  # smallest first
+
+    @pytest.mark.parametrize("first", CHAIN)
+    @pytest.mark.parametrize("second", CHAIN)
+    def test_each_pair_gives_the_smaller(self, first, second):
+        smaller = self.CHAIN[min(self.CHAIN.index(first), self.CHAIN.index(second))]
+        assert meet(first, second) == smaller
+        assert group_contains(first, smaller) and group_contains(second, smaller)
+
+    def test_the_chain_is_every_group(self):
+        assert set(self.CHAIN) == set(GROUPS)
+
+    @pytest.mark.parametrize("group", list(GROUPS))
+    def test_one_argument_gives_itself(self, group):
+        assert meet(group) == group
+
+    def test_no_argument_gives_the_largest_group(self):
+        assert meet() == "Diff(M)"
+
+    def test_unknown_name_is_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown group in .*'GL'"):
+            meet("E(N)", "GL")
+
+    def test_two_largest_common_subgroups_are_refused(self, monkeypatch):
+        # P and Q both sit inside A and inside B, and neither contains the other
+        groups = {"T": (), "P": ("T",), "Q": ("T",), "A": ("P", "Q"), "B": ("P", "Q")}
+        monkeypatch.setattr(equiflow.geometry, "GROUPS", groups)
+        assert meet("A", "P") == "P"
+        with pytest.raises(ConfigurationError, match="no single largest common subgroup"):
+            meet("A", "B")

@@ -44,7 +44,7 @@ from equiflow import (
     synthetic_dataset,
 )
 from equiflow.geometry import FAMILY_ROWS, GROUPS
-from equiflow.harness import FLOW_RECIPES, trial_rng
+from equiflow.harness import ALGORITHM_GROUPS, FLOW_RECIPES, PART_GROUPS, trial_rng
 from conftest import identity, quadratic_loss
 
 
@@ -52,24 +52,26 @@ class TestNaturalityResidual:
     def test_gradient_descent_hand_value(self):
         builder = FlowBuilder("gd", quadratic_loss(np.eye(1)))
         g = affine_diffeomorphism([[2.0]])
-        residual = naturality_residual(builder, g, state_order1([1.0]))
+        residual = naturality_residual(builder.build(), builder.build(g), g, state_order1([1.0]))
         assert abs(residual - 1.5) <= 1e-9
 
     def test_identity_residual_vanishes(self):
         loss = quadratic_loss(np.array([[2.0, 1.0], [1.0, 3.0]]))
         g = identity(2)
+        state = state_order1([0.7, -0.3])
         for algorithm in ("gd", "adam", "newton"):
             builder = FlowBuilder(algorithm, loss)
-            residual = naturality_residual(builder, g, state_order1([0.7, -0.3]))
+            residual = naturality_residual(builder.build(), builder.build(g), g, state)
             assert residual <= 1e-12, algorithm
         builder = FlowBuilder("nesterov", loss)
         s = state_order2([0.7, -0.3], [0.2, 0.4], time=1.0)
-        assert naturality_residual(builder, g, s) <= 1e-12
+        assert naturality_residual(builder.build(), builder.build(g), g, s) <= 1e-12
 
     def test_euclidean_keeps_gradient_flow(self):
         builder = default_flow_builder("gd", 4, seed=0)
         g = sample_diffeomorphism("euclidean", 4, np.random.default_rng(1))
-        residual = naturality_residual(builder, g, state_order1([0.4, -0.2, 0.8, 0.1]))
+        state = state_order1([0.4, -0.2, 0.8, 0.1])
+        residual = naturality_residual(builder.build(), builder.build(g), g, state)
         assert residual <= 1e-9
 
     def test_shear_keeps_preconditioned_flows(self):
@@ -77,17 +79,19 @@ class TestNaturalityResidual:
         state = state_order1([0.4, -0.2, 0.8, 0.1])
         for algorithm in ("ngd", "ggn"):
             builder = default_flow_builder(algorithm, 4, seed=0)
-            assert naturality_residual(builder, g, state) <= 1e-7, algorithm
+            residual = naturality_residual(builder.build(), builder.build(g), g, state)
+            assert residual <= 1e-7, algorithm
 
     def test_composition_subadditive_for_equivariant_pair(self):
         builder = default_flow_builder("gd", 3, seed=0)
         rng = np.random.default_rng(3)
         g1 = sample_diffeomorphism("euclidean", 3, rng)
         g2 = sample_diffeomorphism("euclidean", 3, rng)
+        g12 = compose(g2, g1)
         state = state_order1([0.5, -0.5, 0.2])
-        r1 = naturality_residual(builder, g1, state)
-        r2 = naturality_residual(builder, g2, state)
-        r12 = naturality_residual(builder, compose(g2, g1), state)
+        r1 = naturality_residual(builder.build(), builder.build(g1), g1, state)
+        r2 = naturality_residual(builder.build(), builder.build(g2), g2, state)
+        r12 = naturality_residual(builder.build(), builder.build(g12), g12, state)
         assert r12 <= r1 + r2 + 1e-9
 
     def test_adam_inverse_scaling_violation(self):
@@ -95,12 +99,13 @@ class TestNaturalityResidual:
         loss = quadratic_loss(np.eye(1))
         builder = FlowBuilder("adam", loss)
         g = affine_diffeomorphism([[0.5]])
-        residual = naturality_residual(builder, g, state_order1([1.0]))
+        residual = naturality_residual(builder.build(), builder.build(g), g, state_order1([1.0]))
         assert abs(residual - 0.5) <= 1e-3
         loss2 = quadratic_loss(np.eye(2))
         builder2 = FlowBuilder("adam", loss2)
         g2 = affine_diffeomorphism(0.5 * np.eye(2))
-        residual2 = naturality_residual(builder2, g2, state_order1([1.0, -1.0]))
+        state2 = state_order1([1.0, -1.0])
+        residual2 = naturality_residual(builder2.build(), builder2.build(g2), g2, state2)
         assert abs(residual2 - 0.5 * np.sqrt(2)) <= 1e-3
 
     def test_singularity_tagged_with_chart(self):
@@ -108,7 +113,7 @@ class TestNaturalityResidual:
         builder = FlowBuilder("newton", quartic)
         g = affine_diffeomorphism([[2.0]])
         with pytest.raises(SingularMatrixError, match="base chart"):
-            naturality_residual(builder, g, state_order1([0.0]))
+            naturality_residual(builder.build(), builder.build(g), g, state_order1([0.0]))
 
 
 class TestFlowBuilderValidation:
@@ -431,6 +436,19 @@ class TestAlgorithmTable:
             "agn": "Diff(M)",
         }
 
+    def test_only_nesterov_and_newton_read_a_connection(self):
+        # the premise of deriving each group from its parts: gradient and Adam
+        # rows read connection "none", so no connection part can restrict them
+        for name, recipe in FLOW_RECIPES.items():
+            if recipe.dynamics in ("nesterov", "newton"):
+                assert recipe.connection in ("flat", "transported"), name
+            else:
+                assert recipe.connection == "none", name
+
+    def test_every_part_of_the_part_table_is_in_a_row(self):
+        parts = {part for recipe in FLOW_RECIPES.values() for part in recipe}
+        assert set(PART_GROUPS) <= parts
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -455,7 +473,7 @@ class TestFamilyTable:
         assert FAMILIES == ("translation", "euclidean", "signed-permutation", "affine", "shear")
 
     def test_every_group_is_a_key_of_groups(self):
-        named = {recipe.group for recipe in FLOW_RECIPES.values()}
+        named = set(ALGORITHM_GROUPS.values())
         named |= {row.group for row in FAMILY_ROWS.values()}
         assert named <= set(GROUPS)
 
