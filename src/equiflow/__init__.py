@@ -24,6 +24,7 @@ from .errors import (
 from .flows import (
     FlowField,
     GGNWeight,
+    InvertedMatrix,
     adam_stationary_flow,
     fisher_matrix,
     ggn_matrix,

@@ -433,7 +433,9 @@ def _run_drift(config: dict):
             + (f", diverged at h in {list(drift.diverged)}" if drift.diverged else "")
         )
     report = {"experiment": "drift", "results": results}
-    return report, "\n".join(text_lines), csvs, 0
+    # a study in which some algorithm completed no step size failed
+    status = 1 if any(not result["points"] for result in results) else 0
+    return report, "\n".join(text_lines), csvs, status
 
 
 def _run_trajectory(config: dict):
@@ -486,9 +488,11 @@ _RUNNERS = {
 def run(config: dict) -> int:
     """Validate, execute, and write report.json / report.txt / CSVs.
 
-    Returns the process exit status.  Nothing is written when validation
-    fails or the experiment raises, and no output file changes unless every
-    one was written, so there are no partial output files.
+    Returns the process exit status: 2 when validation fails, 1 after writing
+    the reports of a table with mismatches or of a drift study in which some
+    algorithm completed no step size, else 0.  Nothing is written when
+    validation fails or the experiment raises, and no output file changes
+    unless every one was written, so there are no partial output files.
     """
     diagnostics = diagnose(config)
     for diag in diagnostics:

@@ -2,16 +2,20 @@
 
 Four dynamics: gradient, Nesterov, Adam and Newton flow.  Each constructor
 returns a `FlowField` mapping an `OptimizerState` to a `StateVelocity`, and
-records in `FlowField.inverts` the matrix the flow inverts.  A metric is a
-field theta -> P(theta), the symmetric (n, n) array of a covariant form such
-as the Fisher or GGN, re-evaluated at every state; its weight is a checked
-`GGNWeight`, the Fisher's from `fisher_weight`.  `harness.FLOW_RECIPES`
-names each algorithm's dynamics, metric and connection.  Time-dependent
-flows regularize the 1/xi damping below `XI_MIN`.
+records in `FlowField.inverts` the matrix the flow inverts, as an
+`InvertedMatrix`: the matrix with its one SVD, whose factors the flow applies
+and whose condition number Newton's refusal and the harness pre-check read.
+A metric is a field theta -> P(theta), the symmetric (n, n) array of a
+covariant form such as the Fisher or GGN, re-evaluated at every state and
+factored where it is read, or an `InvertedMatrix` already factored; its
+weight is a checked `GGNWeight`, the Fisher's from `fisher_weight`.
+`harness.FLOW_RECIPES` names each algorithm's dynamics, metric and
+connection.  Time-dependent flows regularize the 1/xi damping below `XI_MIN`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -46,9 +50,9 @@ FORM_SYMMETRY_TOLERANCE = 1e-8
 class FlowField:
     """State-velocity field of one algorithm on one loss.
 
-    `inverts` is theta -> the matrix the flow inverts at theta, a covariant
-    form (Hessian, covariant Hessian, Fisher or GGN), or None when the flow
-    inverts nothing.
+    `inverts` is theta -> the `InvertedMatrix` of the matrix the flow
+    inverts at theta, a covariant form (Hessian, covariant Hessian, Fisher or
+    GGN), or None when the flow inverts nothing.
     """
 
     algorithm: str
@@ -76,13 +80,50 @@ def adam_stationary_flow(loss: ScalarField, epsilon: float = ADAM_EPSILON) -> Fl
     return FlowField("adam", order=1, velocity=velocity)
 
 
+@dataclass(frozen=True, eq=False)
+class InvertedMatrix:
+    """The matrix a flow inverts at one state, factored by one SVD when it is made.
+
+    `matrix` is made read-only in place, a float64 array without a copy.
+    `condition` is s_max / s_min, inf for a singular matrix as numpy's
+    condition number gives it, and `truncated` says whether the
+    pseudo-inverse drops a direction below PINV_CUTOFF * s_max.  The
+    preconditioned flows apply the factors; Newton's flow and the harness
+    pre-check read the condition number.  Two values are equal only when
+    they are the same object."""
+
+    matrix: np.ndarray
+    u: np.ndarray = field(init=False, repr=False)
+    inv_s: np.ndarray = field(init=False, repr=False)
+    vt: np.ndarray = field(init=False, repr=False)
+    condition: float = field(init=False)
+    truncated: bool = field(init=False)
+
+    def __post_init__(self):
+        matrix = np.asarray(self.matrix, dtype=float)
+        matrix.setflags(write=False)
+        u, s, vt = np.linalg.svd(matrix)
+        s_max, s_min = float(s[0]), float(s[-1])  # s is sorted, largest first
+        truncated = not s_min > PINV_CUTOFF * s_max
+        if truncated:
+            keep = s > PINV_CUTOFF * s_max
+            inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+        else:
+            inv_s = 1.0 / s
+        condition = s_max / s_min if s_min > 0.0 else math.inf
+        # a frozen dataclass sets its fields through its instance dict
+        vars(self).update(
+            matrix=matrix, u=u, inv_s=inv_s, vt=vt, condition=condition, truncated=truncated
+        )
+
+
 def newton_flow(
     loss: ScalarField, connection: Optional[Connection] = None, share: Optional[Callable] = None
 ) -> FlowField:
     """dtheta/dxi = -H^-1 grad L with H the Hessian, made covariant,
     H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given; None is the
     flat connection (Gamma = 0), which leaves H as it is.  A FlowBuilder's
-    `share` wraps theta -> (gradient, H) in its per-chart memo."""
+    `share` wraps theta -> (gradient, H factored) in its per-chart memo."""
 
     def system(theta):
         # (gradient, the matrix Newton's flow inverts) from one order-2 pass
@@ -90,18 +131,18 @@ def newton_flow(
         if connection is not None:
             gamma = connection.christoffel_at(theta)
             hess = hess - np.einsum("kij,k->ij", gamma, grad)
-        return grad, hess
+        return grad, InvertedMatrix(hess)
 
     if share is not None:
         system = share(system)
 
     def velocity(state):
         grad, hess = system(state.theta)
-        if np.linalg.cond(hess) > HESSIAN_MAX_CONDITION:
+        if hess.condition > HESSIAN_MAX_CONDITION:
             raise SingularMatrixError(
                 "Hessian too ill-conditioned for Newton flow", point=state.theta
             )
-        return StateVelocity((-np.linalg.solve(hess, grad),))
+        return StateVelocity((-np.linalg.solve(hess.matrix, grad),))
 
     tag = "newton" if connection is None else "newton-covariant"
     return FlowField(tag, order=1, velocity=velocity, inverts=lambda theta: system(theta)[1])
@@ -176,41 +217,52 @@ def fisher_matrix(
     return ggn_matrix(model, data, fisher_weight(model.out_dim, noise_variance), theta, chart)
 
 
-def _apply_inverse(matrix, vec, metadata):
+def _apply_inverse(inverted: InvertedMatrix, vec, metadata):
     # SVD pseudo-inverse; drops directions below PINV_CUTOFF * sigma_max
-    u, s, vt = np.linalg.svd(matrix)
-    s_max = s[0] if s.size else 0.0
-    keep = s > PINV_CUTOFF * s_max
-    if not np.all(keep):
+    if inverted.truncated:
         metadata["pinv_cutoff_points"] = metadata.get("pinv_cutoff_points", 0) + 1
-    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return vt.T @ (inv_s * (u.T @ vec))
+    return inverted.vt.T @ (inverted.inv_s * (inverted.u.T @ vec))
 
 
-def _descent(loss: ScalarField, precond: Optional[Callable], theta, metadata) -> np.ndarray:
-    # grad L, or P^-1 grad L with P(theta) checked before it reaches the SVD
-    grad = diffcalc.gradient(loss, theta)
+def _factored(precond: Optional[Callable], dim: int) -> Optional[Callable]:
+    # theta -> the InvertedMatrix of P(theta).  A plain array is checked and
+    # factored here, from a copy, so the field's own array stays writable; an
+    # InvertedMatrix, a FlowBuilder's square symmetric form, passes as it is.
     if precond is None:
+        return None
+
+    def inverted(theta):
+        form = precond(theta)
+        if isinstance(form, InvertedMatrix):
+            return form
+        matrix = np.array(form, dtype=float)
+        if matrix.shape != (dim, dim):
+            raise ConfigurationError(f"preconditioner shape {matrix.shape} is not ({dim}, {dim})")
+        if np.max(np.abs(matrix - matrix.T)) > FORM_SYMMETRY_TOLERANCE:
+            raise ConfigurationError("preconditioner matrix is not symmetric")
+        return InvertedMatrix(matrix)
+
+    return inverted
+
+
+def _descent(loss: ScalarField, inverted: Optional[Callable], theta, metadata) -> np.ndarray:
+    # grad L, or P^-1 grad L from the factors of P(theta)
+    grad = diffcalc.gradient(loss, theta)
+    if inverted is None:
         return grad
-    form = np.asarray(precond(theta), dtype=float)
-    if form.shape != (grad.size, grad.size):
-        raise ConfigurationError(
-            f"preconditioner shape {form.shape} is not ({grad.size}, {grad.size})"
-        )
-    if np.max(np.abs(form - form.T)) > FORM_SYMMETRY_TOLERANCE:
-        raise ConfigurationError("preconditioner matrix is not symmetric")
-    return _apply_inverse(form, grad, metadata)
+    return _apply_inverse(inverted(theta), grad, metadata)
 
 
 def gradient_flow(loss: ScalarField, precond: Optional[Callable] = None) -> FlowField:
     """dtheta/dxi = -P(theta)^-1 grad L for a metric field `precond`, or
     -grad L without one."""
     metadata: dict = {}
+    inverted = _factored(precond, loss.dim)
 
     def velocity(state):
-        return StateVelocity((-_descent(loss, precond, state.theta, metadata),))
+        return StateVelocity((-_descent(loss, inverted, state.theta, metadata),))
 
-    return FlowField("gd", order=1, velocity=velocity, inverts=precond, metadata=metadata)
+    return FlowField("gd", order=1, velocity=velocity, inverts=inverted, metadata=metadata)
 
 
 def nesterov_flow(
@@ -230,13 +282,14 @@ def nesterov_flow(
     """
     check_positive(r, "damping constant r")
     metadata: dict = {}
+    inverted = _factored(precond, loss.dim)
 
     def velocity(state):
         damping = r / max(state.time, XI_MIN)
-        accel = -damping * state.velocity - _descent(loss, precond, state.theta, metadata)
+        accel = -damping * state.velocity - _descent(loss, inverted, state.theta, metadata)
         if connection is not None:
             gamma = connection.christoffel_at(state.theta)
             accel = accel - np.einsum("kij,i,j->k", gamma, state.velocity, state.velocity)
         return StateVelocity((state.velocity, accel))
 
-    return FlowField("nesterov", order=2, velocity=velocity, inverts=precond, metadata=metadata)
+    return FlowField("nesterov", order=2, velocity=velocity, inverts=inverted, metadata=metadata)

@@ -333,7 +333,11 @@ GROUPS = {
 
 
 def group_contains(group: str, sub: str) -> bool:
-    """Whether `group` contains `sub`, read off the direct containments in GROUPS."""
+    """Whether `group` contains `sub`, read off the direct containments in GROUPS.
+    Refuses an unknown name in either place."""
+    for name in (group, sub):
+        if name not in GROUPS:
+            raise ConfigurationError(f"unknown group {name!r}")
     return group == sub or any(group_contains(inner, sub) for inner in GROUPS[group])
 
 

@@ -11,7 +11,9 @@ classification runs seeded trials per reparameterization family and demands
 a crisp verdict.  Each sampled state first passes a conditioning pre-check on
 the matrix the flow inverts in both charts; the pre-check and the flow
 evaluation that follows share one evaluation of that matrix per state and
-chart, whether it is a Fisher, GGN, Hessian or covariant Hessian.
+chart, whether it is a Fisher, GGN, Hessian or covariant Hessian, and its one
+SVD: the pre-check reads the condition number of the factored matrix
+(`flows.InvertedMatrix`) whose factors the flow then applies.
 
 All randomness flows from one integer seed >= 0 (`geometry.check_count`): every
 trial uses a PCG64 generator seeded with SeedSequence([seed, dim,
@@ -34,6 +36,7 @@ from .flows import (
     NESTEROV_DAMPING,
     FlowField,
     GGNWeight,
+    InvertedMatrix,
     adam_stationary_flow,
     fisher_weight,
     ggn_matrix,
@@ -146,13 +149,13 @@ class FlowBuilder:
     the noise variance are checked once however many forms its flows
     evaluate.  Building is deterministic, so repeated builds are identical.
 
-    The builder keeps the last matrix its flow inverts, computed in the
-    base chart and in the most recent barred chart (matched by identity),
-    with the bits of the theta it was computed at: the Fisher or GGN form,
-    or Newton's gradient with its Hessian or covariant Hessian.  Asked again
-    at that theta in that chart, as the flow is right after the
-    conditioning pre-check, it returns the same read-only arrays: one
-    evaluation per state and chart.
+    The builder keeps the last matrix its flow inverts, factored as an
+    `InvertedMatrix`, computed in the base chart and in the most recent
+    barred chart (matched by identity), with the bits of the theta it was
+    computed at: the Fisher or GGN form, or Newton's gradient with its
+    Hessian or covariant Hessian.  Asked again at that theta in that chart,
+    as the flow is right after the conditioning pre-check, it returns the
+    same read-only values: one evaluation and one SVD per state and chart.
     """
 
     algorithm: str
@@ -189,13 +192,13 @@ class FlowBuilder:
         # In the barred chart the model reads its parameters through g^-1.
         chart = None if reparam is None else reparam.inverse_map
         model, data, weight = self.model, self.data, self._weight
-        form_at = lambda theta: (ggn_matrix(model, data, weight, theta, chart),)
-        shared = self._shared(reparam, form_at)
-        return lambda theta: shared(theta)[0]
+        form_at = lambda theta: InvertedMatrix(ggn_matrix(model, data, weight, theta, chart))
+        return self._shared(reparam, form_at)
 
     def _shared(self, reparam: Optional[Diffeomorphism], compute):
-        # theta -> compute(theta), a tuple of arrays, kept read-only in this
-        # chart's slot until another theta or chart asks
+        # theta -> compute(theta), an InvertedMatrix or Newton's (gradient,
+        # InvertedMatrix), kept read-only in this chart's slot until another
+        # theta or chart asks
         slot = reparam is None
 
         def shared(theta):
@@ -204,8 +207,8 @@ class FlowBuilder:
             if last is not None and last[0] is reparam and last[1] == key:
                 return last[2]
             value = compute(theta)
-            for array in value:
-                array.setflags(write=False)
+            if isinstance(value, tuple):  # Newton's gradient; an InvertedMatrix freezes itself
+                value[0].setflags(write=False)
             self._memo[slot] = (reparam, key, value)
             return value
 
@@ -232,9 +235,16 @@ class FlowBuilder:
         return nesterov_flow(loss, precond, r=self.r, connection=connection)
 
     def inverted_matrix_fn(self, reparam: Optional[Diffeomorphism]):
-        """theta -> the matrix this algorithm inverts in the given chart,
-        or None when the algorithm inverts nothing."""
-        return self.build(reparam).inverts
+        """theta -> the `InvertedMatrix` this algorithm inverts in the given
+        chart, or None when the algorithm inverts nothing.  Only a Newton row
+        builds its flow for it, since its system needs the chart's connection;
+        a Fisher or GGN row reads its memo directly."""
+        metric = FLOW_RECIPES[self.algorithm].metric
+        if metric == "euclidean":
+            return None
+        if metric == "hessian":
+            return self.build(reparam).inverts
+        return self._precondition_fn(reparam)
 
 
 @dataclass(frozen=True)
@@ -289,10 +299,10 @@ def _sample_state(
             state = state_order1(theta)
         if base_matrix_fn is not None:
             try:
-                if np.linalg.cond(base_matrix_fn(theta)) > STATE_MAX_CONDITION:
+                if base_matrix_fn(theta).condition > STATE_MAX_CONDITION:
                     continue
                 theta_bar = g.forward(theta)
-                if np.linalg.cond(barred_matrix_fn(theta_bar)) > STATE_MAX_CONDITION:
+                if barred_matrix_fn(theta_bar).condition > STATE_MAX_CONDITION:
                     continue
             except (np.linalg.LinAlgError, SingularMatrixError):
                 continue

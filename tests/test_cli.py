@@ -11,6 +11,7 @@ import pytest
 import equiflow.cli as cli
 from equiflow import (
     ConfigurationError,
+    DriftResult,
     catalog,
     classify_equivariance,
     default_flow_builder,
@@ -448,7 +449,7 @@ class TestValidate:
                 2,
                 "error: flow evaluation diverged: GGN form",
             ),
-            ({"experiment": "drift", "algorithms": ["ngd"], "h_list": [0.1, 0.01]}, 0, None),
+            ({"experiment": "drift", "algorithms": ["ngd"], "h_list": [0.1, 0.01]}, 1, None),
         ],
         ids=["classify", "trajectory", "drift"],
     )
@@ -590,6 +591,35 @@ class TestRun:
         assert defects == sorted(defects, reverse=True)  # shrinking with h
         report = json.loads((out / "report.json").read_text())
         assert "slope" in report["results"][0]
+
+    @pytest.mark.parametrize(
+        "completed, status",
+        [({"gd": (0.1, 0.01), "ngd": (0.01,)}, 0), ({"gd": (0.1, 0.01), "ngd": ()}, 1)],
+        ids=["some-h-diverged", "an-algorithm-completed-none"],
+    )
+    def test_drift_exit_status_follows_completed_step_sizes(
+        self, tmp_path, monkeypatch, completed, status
+    ):
+        # the report is written either way; the study fails when an algorithm
+        # completed no step size
+        def study(builder, g, start, h_list, **kwargs):
+            done = completed[builder.algorithm]
+            diverged = tuple(h for h in h_list if h not in done)
+            return DriftResult("euler", tuple((h, h) for h in done), diverged, float("nan"))
+
+        monkeypatch.setattr(cli, "equivariance_drift", study)
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            experiment="drift",
+            algorithms=["gd", "ngd"],
+            dims=[2],
+            h_list=[0.1, 0.01],
+            out_dir=str(out),
+        )
+        assert cli.main(["run", str(path)]) == status
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert [len(result["points"]) for result in results] == [2, len(completed["ngd"])]
 
     def test_undefined_drift_slope_is_strict_json_null(self, tmp_path):
         # newton is equivariant under a translation: at most one defect is nonzero;

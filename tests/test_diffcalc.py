@@ -425,6 +425,14 @@ def test_only_diffcalc_seeds_or_reads_dual_numbers():
             assert "seed_duals" not in text and "Dual2" not in text, path.name
 
 
+def test_only_geometry_calls_np_linalg_cond():
+    # geometry checks affine draws and the connection's Jacobian; a flow's
+    # inverted matrix carries its condition number from its one SVD
+    for path in sorted(Path(equiflow.__file__).parent.glob("*.py")):
+        if path.name != "geometry.py":
+            assert "linalg.cond" not in path.read_text(), path.name
+
+
 def test_no_module_imports_another_modules_private_name():
     for path in sorted(Path(equiflow.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

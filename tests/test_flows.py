@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiflow import (
     FAMILIES,
@@ -10,6 +12,7 @@ from equiflow import (
     Dataset,
     EvaluationDomainError,
     GGNWeight,
+    InvertedMatrix,
     ScalarField,
     SingularMatrixError,
     VectorMap,
@@ -144,7 +147,7 @@ class TestNewtonFlow:
             flow(state_order1(theta_bar))
             assert len(calls) == evaluations
         calls.clear()
-        matrix = flow.inverts(theta_bar)
+        matrix = flow.inverts(theta_bar).matrix
         assert len(calls) == 1
         want = hessian(loss, theta_bar)
         if covariant:
@@ -474,6 +477,40 @@ class TestPreconditionedFlow:
         out = flow(state_order1([1.0, 1.0]))
         assert flow.metadata.get("pinv_cutoff_points") == 1
         assert np.allclose(out.dderivs[0], [-1.0, 0.0])
+
+
+class TestInvertedMatrix:
+    """One SVD per matrix gives the pseudo-inverse's factors and the condition number."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_condition_is_numpys(self, dim, seed):
+        b = np.random.default_rng(seed).uniform(-1.0, 1.0, (dim, dim))
+        spd = b @ b.T + np.eye(dim)
+        inverted = InvertedMatrix(spd)
+        assert inverted.condition == pytest.approx(np.linalg.cond(spd), rel=1e-12)
+        assert not inverted.truncated
+
+    @pytest.mark.parametrize("singular", [np.zeros((2, 2)), np.diag([1.0, 0.0])])
+    def test_singular_matrix_has_infinite_condition(self, singular):
+        inverted = InvertedMatrix(singular.copy())
+        assert inverted.condition == np.inf == np.linalg.cond(singular)
+        assert inverted.truncated
+
+    def test_matrix_is_kept_read_only_without_a_copy(self):
+        matrix = SPD.copy()
+        inverted = InvertedMatrix(matrix)
+        assert inverted.matrix is matrix
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+    def test_a_plain_metric_array_is_factored_from_a_copy(self):
+        # the flow's factored matrix is read-only; the field's own array stays writable
+        form = SPD.copy()
+        flow = gradient_flow(quadratic_loss(SPD), lambda t: form)
+        inverted = flow.inverts(np.array([0.3, -0.2]))
+        assert np.array_equal(inverted.matrix, form) and inverted.matrix is not form
+        form[0, 0] = 5.0
 
 
 class TestAcceleratedFlow:

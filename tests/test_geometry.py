@@ -587,3 +587,15 @@ class TestMeet:
         assert meet("A", "P") == "P"
         with pytest.raises(ConfigurationError, match="no single largest common subgroup"):
             meet("A", "B")
+
+
+class TestGroupContains:
+    """`group_contains` reads GROUPS and refuses a name it does not hold."""
+
+    def test_reads_the_containments(self):
+        assert group_contains("Diff(M)", "T(N)") and not group_contains("T(N)", "Diff(M)")
+
+    @pytest.mark.parametrize("group, sub", [("GL", "T(N)"), ("T(N)", "GL")], ids=["group", "sub"])
+    def test_unknown_name_is_refused_in_either_place(self, group, sub):
+        with pytest.raises(ConfigurationError, match="unknown group 'GL'"):
+            group_contains(group, sub)

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -205,7 +206,7 @@ class TestInvertedMatrix:
                     want = want - np.einsum("kij,k->ij", gamma, gradient(loss, point))
                 flow = builder.build(g)
                 velocity = flow(state_order1(point)).dderivs[0]
-                step = np.linalg.solve(flow.inverts(point), gradient(loss, point))
+                step = np.linalg.solve(flow.inverts(point).matrix, gradient(loss, point))
                 assert np.array_equal(velocity, -step)
             else:
                 chart = None if g is None else g.inverse_map
@@ -213,7 +214,7 @@ class TestInvertedMatrix:
                     want = fisher_matrix(model, data, builder.noise_variance, point, chart)
                 else:
                     want = ggn_matrix(model, data, GGNWeight(np.eye(model.out_dim)), point, chart)
-            assert np.array_equal(matrix_fn(point), want), "base" if g is None else g.family
+            assert np.array_equal(matrix_fn(point).matrix, want), "base" if g is None else g.family
 
 
 class TestSharedForm:
@@ -265,7 +266,7 @@ class TestSharedForm:
         first = builder.inverted_matrix_fn(g)(theta)
         assert builder.build(g).inverts(theta) is first and len(calls) == 1
         for count, (owner, point, chart), want in zip((2, 3, 4), asks, wants):
-            assert np.array_equal(owner.inverted_matrix_fn(chart)(point), want)
+            assert np.array_equal(owner.inverted_matrix_fn(chart)(point).matrix, want)
             assert len(calls) == count
 
     @pytest.mark.parametrize("algorithm", ["ngd", "ggn", "nngd", "agn"])
@@ -284,9 +285,55 @@ class TestSharedForm:
 
     def test_shared_form_is_read_only(self):
         builder = default_flow_builder("ggn", 2, seed=0)
-        form = builder.inverted_matrix_fn(None)(np.array([0.3, -0.2]))
+        form = builder.inverted_matrix_fn(None)(np.array([0.3, -0.2])).matrix
         with pytest.raises(ValueError):
             form[0, 0] = 1.0
+
+
+class TestOneFactorization:
+    """The pre-check and the flow share one SVD of the inverted matrix per state
+    and chart, and the pre-check reads a condition number without a second flow."""
+
+    @staticmethod
+    def count_linalg(monkeypatch) -> dict:
+        # np.linalg.svd and np.linalg.cond calls made from flows and harness
+        counts = {"svd": 0, "cond": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                caller = sys._getframe(1).f_globals.get("__name__")
+                if caller in ("equiflow.flows", "equiflow.harness"):
+                    counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("algorithm", ["ngd", "agn", "newton", "newton-covariant"])
+    def test_one_svd_per_state_and_chart(self, algorithm, monkeypatch):
+        builder = default_flow_builder(algorithm, 2, seed=0)
+        counts = self.count_linalg(monkeypatch)
+        classify_equivariance(
+            builder, families=("shear",), trials_per_family=1, states_per_trial=2, seed=0
+        )
+        assert counts == {"svd": 2 * 2, "cond": 0}  # (base + barred) x states
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_one_build_per_chart_per_trial(self, trials, monkeypatch):
+        builds = []
+        build = FlowBuilder.build
+        monkeypatch.setattr(
+            FlowBuilder, "build", lambda self, reparam=None: builds.append(1) or build(self, reparam)
+        )
+        classify_equivariance(
+            default_flow_builder("ngd", 2, seed=0),
+            families=("shear",),
+            trials_per_family=trials,
+            states_per_trial=2,
+            seed=0,
+        )
+        assert len(builds) == 1 + trials
 
 
 class TestSharedNewtonSystem:
@@ -308,7 +355,7 @@ class TestSharedNewtonSystem:
         loss = builder.loss if g is None else pullback_loss(g, builder.loss)
         covariant = builder.algorithm == "newton-covariant" and g is not None
         connection = pullback_connection(g) if covariant else None
-        return newton_flow(loss, connection=connection).inverts(theta)
+        return newton_flow(loss, connection=connection).inverts(theta).matrix
 
     @pytest.mark.parametrize("algorithm", ["newton", "newton-covariant"])
     def test_one_pass_per_state_and_chart(self, algorithm, monkeypatch):
@@ -336,7 +383,7 @@ class TestSharedNewtonSystem:
         first = builder.inverted_matrix_fn(g)(theta)
         assert builder.build(g).inverts(theta) is first and len(calls) == 1
         for count, (owner, point, chart), want in zip((2, 3, 4), asks, wants):
-            assert np.array_equal(owner.inverted_matrix_fn(chart)(point), want)
+            assert np.array_equal(owner.inverted_matrix_fn(chart)(point).matrix, want)
             assert len(calls) == count
 
     def test_shared_gradient_and_matrix_are_read_only(self, monkeypatch):
@@ -348,7 +395,7 @@ class TestSharedNewtonSystem:
 
         monkeypatch.setattr(equiflow.diffcalc, "gradient_and_hessian", keep)
         builder = default_flow_builder("newton", 2, seed=0)
-        matrix = builder.inverted_matrix_fn(None)(np.array([0.3, -0.2]))
+        matrix = builder.inverted_matrix_fn(None)(np.array([0.3, -0.2])).matrix
         [(grad, hess)] = kept
         assert hess is matrix
         for array in (grad, matrix):
