@@ -5,8 +5,10 @@ returns a `FlowField` mapping an `OptimizerState` to a `StateVelocity`, and
 records in `FlowField.inverts` the matrix the flow inverts, as an
 `InvertedMatrix`: the matrix with its one SVD, whose factors the flow applies
 and whose condition number Newton's refusal and the harness pre-check read.
+Each flow keeps the matrix it last factored, with the bits of its theta, so
+`inverts(theta)` and the velocity at theta share one evaluation and one SVD.
 A metric is a field theta -> P(theta), the symmetric (n, n) array of a
-covariant form such as the Fisher or GGN, re-evaluated at every state and
+covariant form such as the Fisher or GGN, re-evaluated at every new state and
 factored where it is read, or an `InvertedMatrix` already factored; its
 weight is a checked `GGNWeight`, the Fisher's from `fisher_weight`.
 `harness.FLOW_RECIPES` names each algorithm's dynamics, metric and
@@ -52,7 +54,7 @@ class FlowField:
 
     `inverts` is theta -> the `InvertedMatrix` of the matrix the flow
     inverts at theta, a covariant form (Hessian, covariant Hessian, Fisher or
-    GGN), or None when the flow inverts nothing.
+    GGN), or None when the flow inverts nothing; kept for the last theta.
     """
 
     algorithm: str
@@ -101,6 +103,8 @@ class InvertedMatrix:
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+            raise ConfigurationError(f"inverted matrix shape {matrix.shape} is not (n, n), n >= 1")
         matrix.setflags(write=False)
         u, s, vt = np.linalg.svd(matrix)
         s_max, s_min = float(s[0]), float(s[-1])  # s is sorted, largest first
@@ -117,24 +121,33 @@ class InvertedMatrix:
         )
 
 
-def newton_flow(
-    loss: ScalarField, connection: Optional[Connection] = None, share: Optional[Callable] = None
-) -> FlowField:
+def _at_last_theta(compute: Callable) -> Callable:
+    # theta -> compute(theta), recomputed only when theta's bits change
+    last = [None, None]  # the last theta's bytes, its value
+
+    def at(theta):
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key != last[0]:
+            last[1], last[0] = compute(theta), key
+        return last[1]
+
+    return at
+
+
+def newton_flow(loss: ScalarField, connection: Optional[Connection] = None) -> FlowField:
     """dtheta/dxi = -H^-1 grad L with H the Hessian, made covariant,
     H_ij - Gamma^k_ij dL/dtheta^k, when a connection is given; None is the
-    flat connection (Gamma = 0), which leaves H as it is.  A FlowBuilder's
-    `share` wraps theta -> (gradient, H factored) in its per-chart memo."""
+    flat connection (Gamma = 0), which leaves H as it is."""
 
+    @_at_last_theta
     def system(theta):
-        # (gradient, the matrix Newton's flow inverts) from one order-2 pass
+        # (read-only gradient, the matrix Newton's flow inverts) from one order-2 pass
         grad, hess = diffcalc.gradient_and_hessian(loss, theta)
         if connection is not None:
             gamma = connection.christoffel_at(theta)
             hess = hess - np.einsum("kij,k->ij", gamma, grad)
+        grad.setflags(write=False)
         return grad, InvertedMatrix(hess)
-
-    if share is not None:
-        system = share(system)
 
     def velocity(state):
         grad, hess = system(state.theta)
@@ -225,12 +238,13 @@ def _apply_inverse(inverted: InvertedMatrix, vec, metadata):
 
 
 def _factored(precond: Optional[Callable], dim: int) -> Optional[Callable]:
-    # theta -> the InvertedMatrix of P(theta).  A plain array is checked and
-    # factored here, from a copy, so the field's own array stays writable; an
-    # InvertedMatrix, a FlowBuilder's square symmetric form, passes as it is.
+    # theta -> the InvertedMatrix of P(theta), kept for the last theta.  A plain
+    # array is checked and factored here, from a copy, so the field's own array
+    # stays writable; an InvertedMatrix, a FlowBuilder's form, passes as it is.
     if precond is None:
         return None
 
+    @_at_last_theta
     def inverted(theta):
         form = precond(theta)
         if isinstance(form, InvertedMatrix):
@@ -238,6 +252,8 @@ def _factored(precond: Optional[Callable], dim: int) -> Optional[Callable]:
         matrix = np.array(form, dtype=float)
         if matrix.shape != (dim, dim):
             raise ConfigurationError(f"preconditioner shape {matrix.shape} is not ({dim}, {dim})")
+        if not np.isfinite(matrix).all():
+            raise EvaluationDomainError(f"preconditioner non-finite at {theta}")
         if np.max(np.abs(matrix - matrix.T)) > FORM_SYMMETRY_TOLERANCE:
             raise ConfigurationError("preconditioner matrix is not symmetric")
         return InvertedMatrix(matrix)

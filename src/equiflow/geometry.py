@@ -155,11 +155,28 @@ class Diffeomorphism:
         return self.inverse_map.value(theta_bar)
 
 
+def _real_array(value, what: str, ndim: int) -> np.ndarray:
+    """`value` as a new non-empty float array with `ndim` axes, refused by name
+    unless every entry is a real number.  An integer or float ndarray is read with no
+    per-entry check; anything else is checked entry by entry, as a point is."""
+    try:
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+            if not all(map(is_real, np.asarray(value, dtype=object).flat)):
+                raise TypeError("an entry is not a real number")
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{what} must be an array of real numbers, got {value!r}") from exc
+    if array.ndim != ndim or array.size == 0:
+        shape = array.shape
+        raise ConfigurationError(f"{what} must be a non-empty {ndim}-D array, got shape {shape}")
+    return array
+
+
 def affine_diffeomorphism(matrix, shift=None, family="affine", label="") -> Diffeomorphism:
     """theta_bar = A theta + c with the exact inverse A^-1 (theta_bar - c)."""
-    matrix = np.array(matrix, dtype=float)
+    matrix = _real_array(matrix, "affine matrix", 2)
     n = matrix.shape[0]
-    shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
+    shift = np.zeros(n) if shift is None else _real_array(shift, "affine shift", 1)
     if matrix.shape != (n, n) or shift.shape != (n,):
         raise ConfigurationError("affine map needs square matrix and matching shift")
     if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(shift))):
@@ -181,7 +198,8 @@ def affine_diffeomorphism(matrix, shift=None, family="affine", label="") -> Diff
 
 
 def translation(shift) -> Diffeomorphism:
-    return affine_diffeomorphism(np.eye(np.shape(shift)[0]), shift, family="translation")
+    shift = _real_array(shift, "translation shift", 1)
+    return affine_diffeomorphism(np.eye(len(shift)), shift, family="translation")
 
 
 def shear_diffeomorphism(coeffs, func: str = "sin", label="") -> Diffeomorphism:
@@ -192,7 +210,7 @@ def shear_diffeomorphism(coeffs, func: str = "sin", label="") -> Diffeomorphism:
     Both maps evaluate phi once per entry that a nonzero coefficient reads,
     and add the terms of entry k in the order j = 0, ..., k-1.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _real_array(coeffs, "shear coefficients", 2)
     n = coeffs.shape[0]
     if coeffs.shape != (n, n) or np.any(np.triu(coeffs) != 0.0):
         raise ConfigurationError("shear coefficients must be strictly lower triangular")

@@ -9,11 +9,11 @@ reparameterization, intrinsically in the barred chart.  `naturality_residual`
 compares the pushed-forward base flow value against the barred flow value;
 classification runs seeded trials per reparameterization family and demands
 a crisp verdict.  Each sampled state first passes a conditioning pre-check on
-the matrix the flow inverts in both charts; the pre-check and the flow
-evaluation that follows share one evaluation of that matrix per state and
-chart, whether it is a Fisher, GGN, Hessian or covariant Hessian, and its one
-SVD: the pre-check reads the condition number of the factored matrix
-(`flows.InvertedMatrix`) whose factors the flow then applies.
+the matrix the flow inverts in both charts.  The pre-check reads the built
+flow's own `inverts`, and each flow keeps the matrix it last factored
+(`flows.InvertedMatrix`), so the pre-check and the flow evaluation that
+follows share one evaluation of that matrix per state and chart, whether it
+is a Fisher, GGN, Hessian or covariant Hessian, and its one SVD.
 
 All randomness flows from one integer seed >= 0 (`geometry.check_count`): every
 trial uses a PCG64 generator seeded with SeedSequence([seed, dim,
@@ -149,13 +149,11 @@ class FlowBuilder:
     the noise variance are checked once however many forms its flows
     evaluate.  Building is deterministic, so repeated builds are identical.
 
-    The builder keeps the last matrix its flow inverts, factored as an
-    `InvertedMatrix`, computed in the base chart and in the most recent
-    barred chart (matched by identity), with the bits of the theta it was
-    computed at: the Fisher or GGN form, or Newton's gradient with its
-    Hessian or covariant Hessian.  Asked again at that theta in that chart,
-    as the flow is right after the conditioning pre-check, it returns the
-    same read-only values: one evaluation and one SVD per state and chart.
+    The builder keeps the flow it last built in the base chart and in a
+    barred chart, matched by the reparameterization's identity, and
+    `inverted_matrix_fn` reads that flow's `inverts`.  Each flow keeps the
+    matrix it last factored, so the pre-check and the flow share one
+    evaluation and one SVD per state and chart.
     """
 
     algorithm: str
@@ -165,7 +163,7 @@ class FlowBuilder:
     noise_variance: float = 0.5
     r: float = NESTEROV_DAMPING
     epsilon: float = ADAM_EPSILON
-    # (reparam is None) -> (reparam, theta bytes, value) of that chart's last value
+    # (reparam is None) -> (reparam, flow) of the flow last built in that chart
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # a Fisher or GGN row's GGNWeight, None for a Euclidean or Hessian row
     _weight: Optional[GGNWeight] = field(default=None, init=False, compare=False, repr=False)
@@ -188,35 +186,11 @@ class FlowBuilder:
     def dim(self) -> int:
         return self.loss.dim
 
-    def _precondition_fn(self, reparam: Optional[Diffeomorphism]):
-        # In the barred chart the model reads its parameters through g^-1.
-        chart = None if reparam is None else reparam.inverse_map
-        model, data, weight = self.model, self.data, self._weight
-        form_at = lambda theta: InvertedMatrix(ggn_matrix(model, data, weight, theta, chart))
-        return self._shared(reparam, form_at)
-
-    def _shared(self, reparam: Optional[Diffeomorphism], compute):
-        # theta -> compute(theta), an InvertedMatrix or Newton's (gradient,
-        # InvertedMatrix), kept read-only in this chart's slot until another
-        # theta or chart asks
-        slot = reparam is None
-
-        def shared(theta):
-            key = np.asarray(theta, dtype=float).tobytes()
-            last = self._memo.get(slot)
-            if last is not None and last[0] is reparam and last[1] == key:
-                return last[2]
-            value = compute(theta)
-            if isinstance(value, tuple):  # Newton's gradient; an InvertedMatrix freezes itself
-                value[0].setflags(write=False)
-            self._memo[slot] = (reparam, key, value)
-            return value
-
-        return shared
-
     def build(self, reparam: Optional[Diffeomorphism] = None) -> FlowField:
-        """This algorithm's flow, named after it, in the base chart or the barred chart."""
-        return replace(self._flow(reparam), algorithm=self.algorithm)
+        """A fresh flow named after this algorithm, in the base or the barred chart."""
+        flow = replace(self._flow(reparam), algorithm=self.algorithm)
+        self._memo[reparam is None] = (reparam, flow)
+        return flow
 
     def _flow(self, reparam: Optional[Diffeomorphism]) -> FlowField:
         dynamics, _, connection_kind = FLOW_RECIPES[self.algorithm]
@@ -225,26 +199,27 @@ class FlowBuilder:
         # barred chart's under an affine map.  Shears and composites compute theirs.
         transported = reparam is not None and connection_kind == "transported"
         connection = pullback_connection(reparam) if transported else None
-        precond = None if self._weight is None else self._precondition_fn(reparam)
+        precond = None
+        if self._weight is not None:
+            # In the barred chart the model reads its parameters through g^-1.
+            chart = None if reparam is None else reparam.inverse_map
+            model, data, weight = self.model, self.data, self._weight
+            precond = lambda theta: InvertedMatrix(ggn_matrix(model, data, weight, theta, chart))
         if dynamics == "adam":
             return adam_stationary_flow(loss, epsilon=self.epsilon)
         if dynamics == "newton":
-            return newton_flow(loss, connection, partial(self._shared, reparam))
+            return newton_flow(loss, connection)
         if dynamics == "gradient":
             return gradient_flow(loss, precond)
         return nesterov_flow(loss, precond, r=self.r, connection=connection)
 
     def inverted_matrix_fn(self, reparam: Optional[Diffeomorphism]):
-        """theta -> the `InvertedMatrix` this algorithm inverts in the given
-        chart, or None when the algorithm inverts nothing.  Only a Newton row
-        builds its flow for it, since its system needs the chart's connection;
-        a Fisher or GGN row reads its memo directly."""
-        metric = FLOW_RECIPES[self.algorithm].metric
-        if metric == "euclidean":
-            return None
-        if metric == "hessian":
-            return self.build(reparam).inverts
-        return self._precondition_fn(reparam)
+        """theta -> the `InvertedMatrix` this algorithm inverts in the chart, or None
+        when it inverts nothing: the `inverts` of the flow last built for this
+        reparameterization object, built here only if there is none."""
+        kept = self._memo.get(reparam is None)
+        flow = kept[1] if kept is not None and kept[0] is reparam else self.build(reparam)
+        return flow.inverts
 
 
 @dataclass(frozen=True)

@@ -433,6 +433,18 @@ def test_only_geometry_calls_np_linalg_cond():
             assert "linalg.cond" not in path.read_text(), path.name
 
 
+def test_harness_reads_a_recipes_metric_only_to_pick_the_weight():
+    # each flow records which matrix it inverts (FlowField.inverts); the harness
+    # reads a recipe's metric only where FlowBuilder picks the Fisher/GGN weight
+    tree = ast.parse((Path(equiflow.__file__).parent / "harness.py").read_text())
+    [builder] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FlowBuilder"]
+    [post_init] = [n for n in builder.body if getattr(n, "name", None) == "__post_init__"]
+    inside = {id(node) for node in ast.walk(post_init)}
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "metric"]
+    assert reads
+    assert [n.lineno for n in reads if id(n) not in inside] == []
+
+
 def test_no_module_imports_another_modules_private_name():
     for path in sorted(Path(equiflow.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -10,6 +10,7 @@ from equiflow import (
     FAMILIES,
     ConfigurationError,
     Dataset,
+    DivergenceError,
     EvaluationDomainError,
     GGNWeight,
     InvertedMatrix,
@@ -143,12 +144,12 @@ class TestNewtonFlow:
         connection = pullback_connection(g) if covariant else None
         flow = newton_flow(loss, connection=connection)
         theta_bar = g.forward([0.3, -0.2, 0.5, 0.1])
-        for evaluations in (1, 2):
-            flow(state_order1(theta_bar))
+        for evaluations, point in enumerate((g.forward([0.1, 0.4, -0.3, 0.2]), theta_bar), 1):
+            flow(state_order1(point))
             assert len(calls) == evaluations
         calls.clear()
-        matrix = flow.inverts(theta_bar).matrix
-        assert len(calls) == 1
+        matrix = flow.inverts(theta_bar).matrix  # the flow kept its last state's system
+        assert len(calls) == 0
         want = hessian(loss, theta_bar)
         if covariant:
             gamma = connection.christoffel_at(theta_bar)
@@ -503,6 +504,37 @@ class TestInvertedMatrix:
         assert inverted.matrix is matrix
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
+
+    def test_a_flow_call_and_inverts_at_one_theta_evaluate_the_metric_once(self):
+        calls = []
+        flow = gradient_flow(quadratic_loss(SPD), lambda t: calls.append(1) or SPD)
+        theta = np.array([0.3, -0.2])
+        flow(state_order1(theta))
+        inverted = flow.inverts(theta)
+        assert len(calls) == 1 and np.array_equal(inverted.matrix, SPD)
+        flow.inverts(np.array([0.3, -0.25]))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_metric_is_refused_with_its_point(self, bad):
+        # NaN reached the SVD as numpy's raw LinAlgError; inf gave a RuntimeWarning
+        # and a zero velocity
+        flow = gradient_flow(quadratic_loss(SPD), lambda t: np.array([[bad, 0.0], [0.0, 1.0]]))
+        theta = np.array([0.3, -0.2])
+        message = r"^preconditioner non-finite at \[ 0.3 -0.2\]"
+        with pytest.raises(EvaluationDomainError, match=message):
+            flow(state_order1(theta))
+        with pytest.raises(DivergenceError, match="preconditioner non-finite") as info:
+            integrate(flow, state_order1(theta), 0.1, 3)
+        assert info.value.step_index == 0
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (2, 3), (0, 0), (), (2, 2, 2)], ids=["1-D", "2x3", "empty", "0-D", "3-D"]
+    )
+    def test_a_matrix_that_is_not_square_is_refused(self, shape):
+        # a 1-D array raised numpy's raw LinAlgError; a 2 x 3 matrix was accepted
+        with pytest.raises(ConfigurationError, match=r"^inverted matrix shape .* is not \(n, n\)"):
+            InvertedMatrix(np.ones(shape))
 
     def test_a_plain_metric_array_is_factored_from_a_copy(self):
         # the flow's factored matrix is read-only; the field's own array stays writable

@@ -539,6 +539,47 @@ class TestNonFiniteMaps:
             shear_diffeomorphism(coeffs)
 
 
+class TestMalformedMaps:
+    @pytest.mark.parametrize(
+        "make, what",
+        [
+            (lambda: affine_diffeomorphism(1.0), "affine matrix"),
+            (lambda: translation(5.0), "translation shift"),
+            (lambda: shear_diffeomorphism(1.0), "shear coefficients"),
+            (lambda: affine_diffeomorphism([[1.0, 0.0], [2.0]]), "affine matrix"),
+            (lambda: affine_diffeomorphism(np.eye(2), [0.5, [1.0]]), "affine shift"),
+            (lambda: translation([[0.5], 1.0]), "translation shift"),
+            (lambda: shear_diffeomorphism([[0.0], [0.5, 0.0]]), "shear coefficients"),
+            (lambda: affine_diffeomorphism([[1.0, "x"], [0.0, 1.0]]), "affine matrix"),
+            (lambda: affine_diffeomorphism(np.eye(2), ["0.5", 0.0]), "affine shift"),
+            (lambda: shear_diffeomorphism([[0.0, 0.0], ["x", 0.0]]), "shear coefficients"),
+            (lambda: affine_diffeomorphism(np.eye(2), 0.5), "affine shift"),
+            (lambda: translation([]), "translation shift"),
+            (lambda: affine_diffeomorphism([[True, 0.0], [0.0, 1.0]]), "affine matrix"),
+        ],
+        ids=[
+            "affine-scalar", "translation-scalar", "shear-scalar", "affine-ragged",
+            "shift-ragged", "translation-ragged", "shear-ragged", "affine-string",
+            "shift-numeric-string", "shear-string", "shift-scalar", "translation-empty",
+            "affine-boolean",
+        ],
+    )
+    def test_malformed_array_is_refused_by_name(self, make, what):
+        # a scalar raised a raw IndexError, a ragged array or a string entry a raw ValueError
+        with pytest.raises(ConfigurationError, match=f"^{what} must be"):
+            make()
+
+    def test_a_map_keeps_its_own_copy_of_its_arrays(self):
+        # the shift and the shear coefficients were the caller's arrays, so
+        # writing to them afterwards moved the map
+        shift, coeffs = np.zeros(2), np.array([[0.0, 0.0], [0.5, 0.0]])
+        affine, shear = affine_diffeomorphism(np.eye(2), shift), shear_diffeomorphism(coeffs)
+        want = shear.forward([1.0, 0.0])
+        shift[0], coeffs[1, 0] = 5.0, 3.0
+        assert np.array_equal(affine.forward([0.0, 0.0]), [0.0, 0.0])
+        assert np.array_equal(shear.forward([1.0, 0.0]), want)
+
+
 class TestCheckPositive:
     @pytest.mark.parametrize(
         "value",

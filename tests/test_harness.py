@@ -263,8 +263,8 @@ class TestSharedForm:
         wants = [self.fresh(owner, point, chart) for owner, point, chart in asks]
 
         calls = self.count_forms(monkeypatch)
-        first = builder.inverted_matrix_fn(g)(theta)
-        assert builder.build(g).inverts(theta) is first and len(calls) == 1
+        first = builder.build(g).inverts(theta)
+        assert builder.inverted_matrix_fn(g)(theta) is first and len(calls) == 1
         for count, (owner, point, chart), want in zip((2, 3, 4), asks, wants):
             assert np.array_equal(owner.inverted_matrix_fn(chart)(point).matrix, want)
             assert len(calls) == count
@@ -292,7 +292,7 @@ class TestSharedForm:
 
 class TestOneFactorization:
     """The pre-check and the flow share one SVD of the inverted matrix per state
-    and chart, and the pre-check reads a condition number without a second flow."""
+    and chart, and the pre-check reads the built flow's `inverts`, not a second flow."""
 
     @staticmethod
     def count_linalg(monkeypatch) -> dict:
@@ -326,14 +326,26 @@ class TestOneFactorization:
         monkeypatch.setattr(
             FlowBuilder, "build", lambda self, reparam=None: builds.append(1) or build(self, reparam)
         )
-        classify_equivariance(
-            default_flow_builder("ngd", 2, seed=0),
-            families=("shear",),
-            trials_per_family=trials,
-            states_per_trial=2,
-            seed=0,
-        )
-        assert len(builds) == 1 + trials
+        for algorithm in ("ngd", "newton", "newton-covariant"):
+            builds.clear()
+            classify_equivariance(
+                default_flow_builder(algorithm, 2, seed=0),
+                families=("shear",),
+                trials_per_family=trials,
+                states_per_trial=2,
+                seed=0,
+            )
+            assert len(builds) == 1 + trials, algorithm
+
+    @pytest.mark.parametrize("family", [None, "affine", "shear"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_pre_check_reads_the_built_flows_inverts(self, algorithm, family):
+        builder = default_flow_builder(algorithm, 2, seed=0)
+        rng = np.random.default_rng(5)
+        g = None if family is None else sample_diffeomorphism(family, 2, rng)
+        flow = builder.build(g)
+        assert builder.inverted_matrix_fn(g) is flow.inverts
+        assert (flow.inverts is None) == (algorithm in ("gd", "nesterov", "adam"))
 
 
 class TestSharedNewtonSystem:
@@ -380,8 +392,8 @@ class TestSharedNewtonSystem:
         wants = [self.fresh(owner, point, chart) for owner, point, chart in asks]
 
         calls = self.count_passes(monkeypatch)
-        first = builder.inverted_matrix_fn(g)(theta)
-        assert builder.build(g).inverts(theta) is first and len(calls) == 1
+        first = builder.build(g).inverts(theta)
+        assert builder.inverted_matrix_fn(g)(theta) is first and len(calls) == 1
         for count, (owner, point, chart), want in zip((2, 3, 4), asks, wants):
             assert np.array_equal(owner.inverted_matrix_fn(chart)(point).matrix, want)
             assert len(calls) == count
